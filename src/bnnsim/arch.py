@@ -64,10 +64,6 @@ class OperatingPoint:
     f_clk: float = 154e6
     active_fmm_banks: int | None = None  # None = derived per layer from usage
 
-    def __post_init__(self):
-        if self.vdd <= 0 or self.f_clk <= 0:
-            raise ShapeError("operating point must be positive")
-
 
 @dataclass
 class ArchConfig:
@@ -77,9 +73,25 @@ class ArchConfig:
     calib: CalibrationTable = field(default_factory=CalibrationTable)
 
     def __post_init__(self):
-        if self.op_point.active_fmm_banks is not None:
-            if self.op_point.active_fmm_banks > self.memory.fmm_banks_total:
-                raise ShapeError("active banks exceed total FMM banks")
+        self.check()
+
+    def check(self) -> None:
+        """Reject zero or negative geometry and operating values.
+
+        Runs on construction, so on every parsed config file, and again
+        before planning, since fields may be changed after construction."""
+        m, o = self.memory, self.op_point
+        values = {**vars(self.compute), **vars(m), "vdd": o.vdd, "f_clk": o.f_clk}
+        bad = [f"{name} = {v}" for name, v in values.items()
+               if isinstance(v, (int, float)) and not v > 0]
+        if bad:
+            raise ShapeError("arch values must be positive: " + ", ".join(bad))
+        if m.fmm_bank_width_bits % 8:
+            raise ShapeError(f"fmm_bank_width_bits = {m.fmm_bank_width_bits} "
+                             f"is not a whole number of bytes")
+        if o.active_fmm_banks is not None and not 0 < o.active_fmm_banks <= m.fmm_banks_total:
+            raise ShapeError(f"active_fmm_banks = {o.active_fmm_banks} is outside "
+                             f"1..{m.fmm_banks_total} (the total FMM banks)")
 
     def copy(self, **overrides) -> "ArchConfig":
         return replace(self, **overrides)
@@ -169,9 +181,6 @@ def validate(net, arch: ArchConfig) -> FitReport:
     net.validate()
     if not net.binary_layers():
         raise FitError("network has no binary layers to place")
-    for l in net.binary_layers():
-        if l.n_out <= 0 or l.n_in <= 0:
-            raise FitError(f"layer {l.name}: zero-size layer")
     return scheduler.placement_report(net, arch)
 
 
@@ -203,9 +212,11 @@ def parse_arch(text: str, path: str = "<string>") -> ArchConfig:
             _apply_key(targets[section], key, val)
         except (ValueError, AttributeError) as e:
             raise FormatError(f"bad value for {key!r}: {e}", path, lineno) from e
-    cfg = ArchConfig(compute, memory, op, calib)
     calib.check()
-    return cfg
+    try:
+        return ArchConfig(compute, memory, op, calib)
+    except ShapeError as e:
+        raise FormatError(str(e), path) from e
 
 
 def _apply_key(obj, key: str, val: str) -> None:

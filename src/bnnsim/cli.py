@@ -1,8 +1,9 @@
 """Command-line interface.
 
     bnnsim verify <net> [--seed N] [--trials N] [--arch FILE]
-    bnnsim run <net> [--weights FILE | --random] [--input FILE] [--arch FILE]
+    bnnsim run <net> [--weights FILE] [--input FILE] [--arch FILE]
                      [--seed N] [--out FILE] [--trace FILE]
+                     [--trace-detail segment|full]
     bnnsim sweep [--kernel 1,3,5,7] [--banks 4..48] [--arch FILE] [--out FILE]
     bnnsim report <runfiles...> [--out FILE]
 
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import netio
-from .arch import ArchConfig, builtin_arch, default_arch, load_arch, validate
-from .errors import BnnSimError
+from .arch import ArchConfig, builtin_arch, default_arch, load_arch
+from .errors import BnnSimError, FormatError
 from .power import core_power, efficiency, full_report, ideal_point
 from .simulator import run as run_network
 from .simulator import utilization, verify_against_oracle
@@ -87,7 +88,6 @@ def cmd_run(args) -> int:
     net = _resolve_net(args.net)
     if not net.binary_layers():
         raise BnnSimError(f"network {net.name!r} has no binary layers to simulate")
-    fit = validate(net, arch)
     weights, x = _prepare_stimulus(net, args, rng)
     outputs, stats, plan = run_network(net, x, weights, arch)
     stats.seed = args.seed
@@ -104,7 +104,7 @@ def cmd_run(args) -> int:
         f"binary_fraction = {oc['binary_fraction']:.6f}",
         f"gops = {stats.xnor_ops_done / t / 1e9:.4f}",
         f"fps = {1.0 / t:.4f}",
-        f"fits_untiled = {fit.fits_untiled}",
+        f"fits_untiled = {plan.fit.fits_untiled}",
     ]
     text = "\n".join(header) + "\n" + util.to_text() + power.to_text() + stats.to_text()
     if args.out:
@@ -150,8 +150,12 @@ def cmd_sweep(args) -> int:
 
 
 def _scan_kv(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not a text run report ({e.reason})", path) from e
     vals = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         if line.startswith("[layers]"):
             break
         if " = " in line and not line.startswith("#"):
@@ -203,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="simulate one inference and report stats/power")
     r.add_argument("net")
     r.add_argument("--weights", help="weight blob (default: random)")
-    r.add_argument("--random", action="store_true", help="random weights and input")
     r.add_argument("--input", help="input tensor blob (default: random)")
     r.add_argument("--arch")
     r.add_argument("--seed", type=int, default=1)

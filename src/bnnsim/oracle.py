@@ -2,9 +2,11 @@
 
 This path shares no convolution or pooling code with the packed-word
 implementation: tensors are unpacked via numpy bit twiddling, the
-correlation runs over +/-1 integers with einsum, and pooling reduces
-integer sums directly.  It exists to cross-check both the functional
-model and the cycle simulator.
+correlation is a sum over the k*k taps of float32 matrix products
+(n_out x n_in) @ (n_in x oh*ow) on the +/-1 values, and pooling reduces
+integer sums directly.  The products are exact integers while
+k*k*n_in < 2**24.  It exists to cross-check both the functional model and
+the cycle simulator.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ def unpack_bipolar(t: BinaryTensor) -> np.ndarray:
     g, h, w = t.words.shape
     bytes_ = t.words.reshape(g, h, w, 1).view(np.uint8)  # little-endian pairs
     bits = np.unpackbits(bytes_, axis=3, bitorder="little")  # (g, h, w, 16)
-    lanes = np.moveaxis(bits, 3, 1).reshape(g * LANES, h, w)
-    return (lanes[: t.channels].astype(np.int8) * 2) - 1
+    lanes = np.moveaxis(bits, 3, 1).reshape(g * LANES, h, w)[: t.channels]
+    return _to_bipolar(lanes)
 
 
 def unpack_weights_bipolar(packed: np.ndarray, n_in: int) -> np.ndarray:
@@ -30,8 +32,16 @@ def unpack_weights_bipolar(packed: np.ndarray, n_in: int) -> np.ndarray:
     n_out, k, _, g = packed.shape
     bytes_ = packed.reshape(n_out, k, k, g, 1).view(np.uint8)
     bits = np.unpackbits(bytes_, axis=4, bitorder="little")  # (n_out,k,k,g,16)
-    lanes = bits.reshape(n_out, k, k, g * LANES)[:, :, :, :n_in]
-    return np.moveaxis((lanes.astype(np.int8) * 2) - 1, 3, 1)
+    lanes = _to_bipolar(bits.reshape(n_out, k, k, g * LANES))[:, :, :, :n_in]
+    return np.moveaxis(lanes, 3, 1)
+
+
+def _to_bipolar(bits: np.ndarray) -> np.ndarray:
+    """0/1 uint8 bits -> int8 -1/+1, in place."""
+    out = bits.view(np.int8)
+    out *= 2
+    out -= 1
+    return out
 
 
 def bipolar_conv(
@@ -42,21 +52,40 @@ def bipolar_conv(
     n_out, n_in, k, _ = w.shape
     if x.shape[0] != n_in:
         raise ShapeError(f"input has {x.shape[0]} channels, weights expect {n_in}")
+    if k * k * n_in >= 1 << 24:  # past this, float32 sums stop being exact
+        raise ShapeError(f"{k}x{k}x{n_in} taps exceed the exact float32 range")
     if padding != "none":
         p = (k - 1) // 2
         fill = 1 if padding == "same1" else -1
         x = np.pad(x, ((0, 0), (p, p), (p, p)), constant_values=fill)
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (n_in, oh, ow, k, k)
-    return np.einsum("cyxuv,ocuv->oyx", win.astype(np.int32), w.astype(np.int32))
+    xf = x.astype(np.float32)
+    oh = (x.shape[1] - k) // stride + 1
+    ow = (x.shape[2] - k) // stride + 1
+    acc = np.zeros((n_out, oh * ow), dtype=np.float32)
+    for u in range(k):
+        for v in range(k):
+            tap = xf[:, u:u + stride * (oh - 1) + 1:stride, v:v + stride * (ow - 1) + 1:stride]
+            acc += w[:, :, u, v].astype(np.float32) @ tap.reshape(n_in, oh * ow)
+    return acc.astype(np.int32).reshape(n_out, oh, ow)
 
 
 def to_binary_sum(s_bip: np.ndarray, taps: int) -> np.ndarray:
-    """Invert the bipolar rewrite: S_bip = 2*S_hat - taps."""
-    s = s_bip + taps
-    if np.any(s % 2):
+    """Invert the bipolar rewrite S_bip = 2*S_hat - taps, in place."""
+    s_bip += taps
+    if np.any(s_bip & 1):
         raise ShapeError("bipolar sum parity broken; taps count is wrong")
-    return s // 2
+    s_bip >>= 1
+    return s_bip
+
+
+def _accumulate(sums: np.ndarray, net) -> np.ndarray:
+    """Apply the accumulator width: saturate, or raise on overflow."""
+    hi = 1 << (net.acc_bits - 1)
+    if net.acc_mode == "saturate":
+        return np.clip(sums, -hi, hi - 1)
+    if sums.min() < -hi or sums.max() > hi - 1:
+        raise OverflowError("accumulator overflow in bipolar reference")
+    return sums
 
 
 def _compare(values: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:
@@ -67,13 +96,15 @@ def _compare(values: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:
 def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
     """Brute-force forward pass; returns {name: (sums int32 CxHxW, bits CxHxW)}."""
     results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    current = x
-    current_arr = unpack_bipolar(x)
+    x_bip = unpack_bipolar(x)
+
+    def bipolar_map(name: str) -> np.ndarray:
+        """+/-1 output map of a layer; the input map for the external prefix."""
+        return _to_bipolar(results[name][1].copy()) if name in results else x_bip
+
+    current = x_bip
     for layer in net.binary_layers():
-        if layer.input_layer is not None:
-            feed = results[layer.input_layer][1]
-        else:
-            feed = current_arr
+        feed = current if layer.input_layer is None else bipolar_map(layer.input_layer)
         if layer.flatten:
             c, h, w = feed.shape
             feed = np.transpose(feed, (1, 2, 0)).reshape(c * h * w, 1, 1)
@@ -86,18 +117,13 @@ def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
             wb = unpack_weights_bipolar(w_all[b], layer.n_in)
             part = to_binary_sum(bipolar_conv(feed, wb, layer.stride, layer.padding), taps)
             sums = part if sums is None else sums + part
+        # the accumulator width applies to the conv sum, then to the residual add
+        sums = _accumulate(sums, net)
         if layer.residual is not None:
             if layer.residual_mode == "int":
-                sums = sums + results[layer.residual][0]
-            elif layer.residual in results:
-                sums = sums + (results[layer.residual][1].astype(np.int32) * 2 - 1)
-            else:  # source is the network input map
-                sums = sums + unpack_bipolar(x).astype(np.int32)
-        hi = 1 << (net.acc_bits - 1)
-        if net.acc_mode == "saturate":
-            sums = np.clip(sums, -hi, hi - 1)
-        elif sums.min() < -hi or sums.max() > hi - 1:
-            raise OverflowError("accumulator overflow in bipolar reference")
+                sums = _accumulate(sums + results[layer.residual][0], net)
+            else:
+                sums = _accumulate(sums + bipolar_map(layer.residual), net)
 
         th = layer.thresholds
         if layer.pool == "max":
@@ -116,9 +142,5 @@ def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
         else:
             bits = _compare(sums, th.t, th.flip)
         results[layer.name] = (sums, bits)
-        current_arr = bits.astype(np.int8) * 2 - 1
+        current = bipolar_map(layer.name)
     return results
-
-
-def bits_equal_packed(bits: np.ndarray, packed: BinaryTensor) -> bool:
-    return np.array_equal(bits.astype(np.uint8), packed.to_bits())

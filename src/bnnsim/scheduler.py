@@ -1,9 +1,11 @@
 """Loop-nest planning: channel tiling, row streaming, feature-map memory
 ping-pong, parameter-buffer residency, and spatial column tiling.
 
-A layer runs as an out-channel-tile x in-channel-tile loop nest: each
-(n_o, n_i) iteration stages one filter chunk in the row banks, streams
-image rows past it, and accumulates partial sums near memory.  The
+A layer runs as an out-channel-tile x base x in-channel-tile loop nest:
+each (n_o, base, n_i) block stages one filter chunk in the row banks,
+streams image rows past it, and accumulates partial sums near memory.
+`LoopNest` is the one description of that nest: the simulator derives its
+counters from it in closed form and the event stream walks it.  The
 feature-map memory is split in two halves whose source/sink roles swap
 after every layer.  Layers whose maps overflow a half are executed in
 vertical column stripes with a recomputed halo so stitching is exact.
@@ -11,6 +13,7 @@ vertical column stripes with a recomputed halo so stitching is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .arch import ArchConfig, FitEntry, FitReport, map_bytes, plane_bytes
@@ -68,6 +71,77 @@ class TilePlan:
     fmm_direction: str
 
 
+@dataclass(frozen=True)
+class LoopNest:
+    """The (n_o, base, n_i) block nest of one (layer, spatial tile) run.
+
+    A block stages a ct_o*k*k-word filter chunk in the row banks, then
+    streams `rows_used` window rows of `in_w` words past it; the first
+    `k_first` rows stall the array, the rest prefetch.  The block makes
+    o_h*ct_o row segments, each a k*k-word filter pass into the array, a
+    pipeline fill and o_w partial sums.  A chunk load stalls the array on
+    the first block, and on any block too short to hide its own load
+    behind the previous one (double-buffered row banks)."""
+
+    out_tiles: tuple            # real out channels per tile, e.g. (16, 16, 4)
+    bases: int
+    in_tiles: tuple
+    k: int
+    o_h: int
+    o_w: int
+    in_w: int
+    rows_used: int
+    k_first: int
+    io_bits_per_cycle: int | None = None   # set when chunks stream from off chip
+
+    @property
+    def blocks_per_out_tile(self) -> int:
+        return self.bases * len(self.in_tiles)
+
+    def blocks(self):
+        """(n_o, ct_o, base, n_i) of every block, in execution order."""
+        for n_o, ct_o in enumerate(self.out_tiles):
+            for base in range(self.bases):
+                for n_i in range(len(self.in_tiles)):
+                    yield n_o, ct_o, base, n_i
+
+    def chunk_words(self, ct_o: int) -> int:
+        return ct_o * self.k * self.k
+
+    def load_cycles(self, ct_o: int) -> int:
+        words = self.chunk_words(ct_o)
+        if self.io_bits_per_cycle is None:
+            return words
+        return max(words, -(-words * 16 // self.io_bits_per_cycle))
+
+    def load_visible(self, first: bool, ct_o: int) -> bool:
+        block_span = self.o_h * ct_o * (self.o_w + self.k * self.k + PIPE_FILL)
+        return first or block_span < self.load_cycles(ct_o)
+
+    def visible_load_cycles(self) -> int:
+        """Chunk-load stall cycles summed over all blocks, in closed form:
+        blocks of one out-tile width share load cycles and visibility."""
+        first = self.out_tiles[0]
+        total = self.load_cycles(first)
+        for ct_o, n in Counter(self.out_tiles).items():
+            if self.load_visible(False, ct_o):
+                blocks = n * self.blocks_per_out_tile - (ct_o == first)
+                total += blocks * self.load_cycles(ct_o)
+        return total
+
+
+def _layer_nest(layer: LayerConfig, window: TileWindow,
+               io_bits_per_cycle: int | None) -> LoopNest:
+    k, s = layer.k, layer.stride
+    p = (k - 1) // 2 if layer.padding != "none" else 0
+    return LoopNest(
+        out_tiles=tuple(channel_tiles(layer.n_out, C_O_TILE)), bases=layer.bases,
+        in_tiles=tuple(channel_tiles(layer.n_in, C_I_TILE)), k=k,
+        o_h=layer.out_h, o_w=window.out_w, in_w=window.in_w,
+        rows_used=min(layer.in_h, (layer.out_h - 1) * s - p + k),
+        k_first=min(layer.in_h, k - p), io_bits_per_cycle=io_bits_per_cycle)
+
+
 @dataclass
 class LayerPlan:
     """Everything the executor needs for one (layer, spatial tile) run."""
@@ -78,6 +152,7 @@ class LayerPlan:
     n_tiles: int
     direction: str
     window: TileWindow
+    nest: LoopNest
     src_bytes: int = 0
     snk_bytes: int = 0
     working_bytes: int = 0
@@ -89,14 +164,6 @@ class LayerPlan:
     feed_banks: tuple = (0, 0)
     out_banks: tuple = (0, 0)
     pb_word_offset: int = 0
-
-    @property
-    def src_half(self) -> int:
-        return self.index % 2
-
-    @property
-    def snk_half(self) -> int:
-        return 1 - self.index % 2
 
 
 @dataclass
@@ -410,8 +477,12 @@ def _ingroup_last_use(binary, g0, g1, j) -> int:
 # ---------------------------------------------------------------------------
 
 def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
+    arch.check()
     net.validate()
     binary = net.binary_layers()
+    for l in binary:
+        if l.n_out <= 0 or l.n_in <= 0:
+            raise FitError(f"layer {l.name}: zero-size layer")
     unsupported = [l.name for l in binary if not arch.compute.kernel_ok(l.k)]
 
     records = _build_records(net, binary)
@@ -468,8 +539,11 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
 
 
 def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
-    binary, records, groups, unsupported, layer_fit, untileable = _placement(
-        net, arch, strict=False)
+    return _fit_report(net, arch, _placement(net, arch, strict=False))
+
+
+def _fit_report(net: NetworkDesc, arch: ArchConfig, placement) -> FitReport:
+    binary, records, groups, unsupported, layer_fit, untileable = placement
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
     entries = []
     needs_tiling = list(untileable)
@@ -543,10 +617,11 @@ def _streamed_param_bits(net: NetworkDesc, arch: ArchConfig) -> int:
 
 def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
     """Plan every layer; raises FitError if the network cannot be placed."""
-    binary, records, groups, unsupported, layer_fit, _ = _placement(net, arch)
+    placement = _placement(net, arch)
+    binary, records, groups, unsupported, _, _ = placement
     if unsupported:
         raise FitError("unsupported kernel sizes on: " + ", ".join(unsupported))
-    fit = placement_report(net, arch)
+    fit = _fit_report(net, arch, placement)
     rec_by_name = {r.name: r for r in records}
     resident = _resident_layers(net, arch)
 
@@ -566,11 +641,13 @@ def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
         feed_rec = rec_by_name[feed_name]
         out_rec = rec_by_name[l.name]
         entry = entries[l.name]
+        streamed = l.name not in resident
+        chunk_io = arch.memory.io_bits_per_cycle if streamed else None
         common = dict(
             layer=l, index=i, direction=direction,
             src_bytes=entry.src_bytes, snk_bytes=entry.snk_bytes,
             working_bytes=entry.working_bytes, active_banks=entry.active_banks,
-            stream_params=l.name not in resident,
+            stream_params=streamed,
             parks_int_plane=(l.name + "#int") in rec_by_name,
             feed_banks=feed_rec.banks, out_banks=out_rec.banks,
             pb_word_offset=pb_offset,
@@ -588,10 +665,14 @@ def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
                 overlap = (prev_hi - win.in_lo) if prev_hi is not None else 0
                 prev_hi = win.in_hi
                 spatial.append((win.in_lo, win.in_hi, max(0, overlap)))
-                plans.append(LayerPlan(tile=t, n_tiles=n, window=win, **common))
+                plans.append(LayerPlan(tile=t, n_tiles=n, window=win,
+                                       nest=_layer_nest(l, win, chunk_io),
+                                       **common))
             tp = TilePlan(C_I_TILE, C_O_TILE, spatial, direction)
         else:
-            plans = [LayerPlan(tile=0, n_tiles=1, window=full_window(l), **common)]
+            win = full_window(l)
+            plans = [LayerPlan(tile=0, n_tiles=1, window=win,
+                               nest=_layer_nest(l, win, chunk_io), **common)]
             tp = TilePlan(C_I_TILE, C_O_TILE, [(0, l.in_w, 0)], direction)
         schedules.append(Schedule(layer=l, index=i, tile_plan=tp, plans=plans))
         plans_by_layer[i] = plans
@@ -621,77 +702,59 @@ def plan_layer(layer: LayerConfig, arch: ArchConfig, fm_dims: tuple[int, int, in
     return plan.schedules[0]
 
 
-def spatial_tile(layer: LayerConfig, fm_dims: tuple[int, int, int],
-                 arch: ArchConfig) -> TilePlan:
-    """Tile plan for one oversized layer (1 tile with overlap 0 if it fits)."""
-    c, h, w = fm_dims
-    net = NetworkDesc("layer", c, h, w, [layer])
-    plan = plan_network(net.validate(), arch)
-    return plan.schedules[0].tile_plan
-
-
 # ---------------------------------------------------------------------------
 # event stream
 # ---------------------------------------------------------------------------
 
 def _layer_events(plan: LayerPlan, detail: str):
-    l = plan.layer
-    win = plan.window
-    k, s = l.k, l.stride
-    p = (k - 1) // 2 if l.padding != "none" else 0
-    o_h, o_w = l.out_h, win.out_w
-    i_w = win.in_w
-    tiles_o = channel_tiles(l.n_out, C_O_TILE)
-    tiles_i = channel_tiles(l.n_in, C_I_TILE)
+    l, nest, tile = plan.layer, plan.nest, plan.tile
+    o_h, o_w, i_w = nest.o_h, nest.o_w, nest.in_w
+    k = nest.k
     name = l.name
-    if plan.tile == 0:
+    last_inner = (nest.bases - 1, len(nest.in_tiles) - 1)
+    if tile == 0:
         yield Event("SwapFMM", name, {"direction": plan.direction}, size=0)
-    rows_lo = 0
-    rows_hi = min(l.in_h, (o_h - 1) * s - p + k)
-    chunk_word = 0
-    first_chunk = True
-    for n_o, ct_o in enumerate(tiles_o):
-        for base in range(l.bases):
-            for n_i, ct_i in enumerate(tiles_i):
-                words = ct_o * k * k
+    chunk_word = plan.pb_word_offset
+    for b, (n_o, ct_o, base, n_i) in enumerate(nest.blocks()):
+        words = nest.chunk_words(ct_o)
+        yield Event(
+            "LoadFilterChunkToRowBanks", name,
+            {"tile": tile, "n_o": n_o, "base": base, "n_i": n_i},
+            bank=-1, word=chunk_word, size=words,
+            hidden=not nest.load_visible(b == 0, ct_o))
+        chunk_word += words
+        for r in range(nest.rows_used):
+            yield Event(
+                "LoadFMRowToRowBanks", name,
+                {"tile": tile, "n_o": n_o, "n_i": n_i, "row": r},
+                bank=plan.feed_banks[0], word=r * i_w, size=i_w)
+        for n_r in range(o_h):
+            for b_o in range(ct_o):
                 yield Event(
-                    "LoadFilterChunkToRowBanks", name,
-                    {"tile": plan.tile, "n_o": n_o, "base": base, "n_i": n_i},
-                    bank=-1, word=plan.pb_word_offset + chunk_word,
-                    size=words, hidden=not first_chunk)
-                chunk_word += words
-                first_chunk = False
-                for r in range(rows_lo, rows_hi):
-                    yield Event(
-                        "LoadFMRowToRowBanks", name,
-                        {"tile": plan.tile, "n_o": n_o, "n_i": n_i, "row": r},
-                        bank=plan.feed_banks[0], word=r * i_w, size=i_w)
-                for n_r in range(o_h):
-                    for b_o in range(ct_o):
-                        yield Event(
-                            "LoadFilterToBPU", name,
-                            {"tile": plan.tile, "n_o": n_o, "n_i": n_i,
-                             "row": n_r, "b_o": b_o},
-                            size=k * k)
-                        if detail == "full":
-                            for n_c in range(o_w):
-                                yield Event("StreamFMPixelToBPU", name,
-                                            {"row": n_r, "col": n_c}, size=k)
-                                yield Event("ProducePartialSum", name,
-                                            {"row": n_r, "col": n_c,
-                                             "ch": n_o * C_O_TILE + b_o}, size=1)
-                                yield Event("NMCUAccumulate", name,
-                                            {"row": n_r, "col": n_c,
-                                             "ch": n_o * C_O_TILE + b_o}, size=1)
-                        else:
-                            yield Event("ProducePartialSum", name,
-                                        {"tile": plan.tile, "n_o": n_o, "n_i": n_i,
-                                         "row": n_r, "b_o": b_o}, size=o_w)
-                            yield Event("NMCUAccumulate", name,
-                                        {"tile": plan.tile, "n_o": n_o, "n_i": n_i,
-                                         "row": n_r, "b_o": b_o}, size=o_w)
-        yield Event("Binarize", name, {"tile": plan.tile, "n_o": n_o},
+                    "LoadFilterToBPU", name,
+                    {"tile": tile, "n_o": n_o, "n_i": n_i, "row": n_r, "b_o": b_o},
+                    size=k * k)
+                if detail == "full":
+                    for n_c in range(o_w):
+                        yield Event("StreamFMPixelToBPU", name,
+                                    {"row": n_r, "col": n_c}, size=k)
+                        yield Event("ProducePartialSum", name,
+                                    {"row": n_r, "col": n_c,
+                                     "ch": n_o * C_O_TILE + b_o}, size=1)
+                        yield Event("NMCUAccumulate", name,
+                                    {"row": n_r, "col": n_c,
+                                     "ch": n_o * C_O_TILE + b_o}, size=1)
+                else:
+                    yield Event("ProducePartialSum", name,
+                                {"tile": tile, "n_o": n_o, "n_i": n_i,
+                                 "row": n_r, "b_o": b_o}, size=o_w)
+                    yield Event("NMCUAccumulate", name,
+                                {"tile": tile, "n_o": n_o, "n_i": n_i,
+                                 "row": n_r, "b_o": b_o}, size=o_w)
+        if (base, n_i) != last_inner:
+            continue
+        yield Event("Binarize", name, {"tile": tile, "n_o": n_o},
                     bank=plan.out_banks[0], size=ct_o * o_h * o_w)
         if l.pool != "none":
-            yield Event("Pool", name, {"tile": plan.tile, "n_o": n_o},
-                        size=(o_h // 2) * (win.pout_w))
+            yield Event("Pool", name, {"tile": tile, "n_o": n_o},
+                        size=(o_h // 2) * plan.window.pout_w)

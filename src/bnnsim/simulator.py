@@ -3,15 +3,16 @@
 The datapath contract: in steady state the array produces one partial
 row-convolution result (one output pixel of one output channel, over one
 16-channel input tile) per cycle.  Around that, the model charges what
-the loop nest implies: a k*k-word filter pass into the array plus a
-depth-3 pipeline fill per (row, output-channel) segment, visible filter
-chunk loads when double buffering cannot hide them, the first rows of
-each (n_o, n_i) iteration, one cycle per layer for the source/sink swap,
-and one cycle per 2x2 window per 16-channel word for max pooling.
+the loop nest (`scheduler.LoopNest`) implies: a k*k-word filter pass into
+the array plus a depth-3 pipeline fill per (row, output-channel) segment,
+visible filter chunk loads when double buffering cannot hide them, the
+first rows of each (n_o, base, n_i) block, one cycle per layer for the
+source/sink swap, and one cycle per 2x2 window per 16-channel word for
+max pooling.  The nest counters are closed forms, not a walk of the nest.
 
-Outputs are produced through the same accumulate/threshold path the
-functional model defines, so they are bit-identical to it by
-construction of the arithmetic, and verified against it in tests.
+Outputs come from the functional model's own conv kernel, run on each
+spatial tile's window, and its threshold and pooling path; tests check
+them against the golden model and the independent bipolar oracle.
 """
 
 from __future__ import annotations
@@ -21,32 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchConfig
-from .errors import AccumulatorOverflow, FitError, ShapeError
+from .errors import FitError, ShapeError
 from .functional import (
     ThresholdVector,
     avg_pool_threshold,
     binary_maxpool,
     threshold_binarize,
+    xnor_conv,
 )
 from .network import NetworkDesc
-from .scheduler import (
-    C_I_TILE,
-    C_O_TILE,
-    INPUT_MAP,
-    PIPE_FILL,
-    LayerPlan,
-    NetworkPlan,
-    channel_tiles,
-    plan_network,
-)
+from .scheduler import INPUT_MAP, PIPE_FILL, LayerPlan, NetworkPlan, plan_network
 from .stats import LayerStats, Stats
-from .tensors import (
-    POPCOUNT16,
-    BinaryTensor,
-    IntTensor,
-    lane_masks,
-    n_groups,
-)
+from .tensors import BinaryTensor, IntTensor, lane_masks, n_groups
 
 
 @dataclass
@@ -73,8 +60,8 @@ class VerifyReport:
         return f"DIVERGENCE at layer {layer}, channel {c}, pixel ({y},{x})\n"
 
 
-def _build_slab(feed: BinaryTensor, layer, win) -> np.ndarray:
-    """Word slab covering the window's receptive field, vertically padded,
+def _build_slab(feed: BinaryTensor, layer, win) -> BinaryTensor:
+    """Map slab covering the window's receptive field, vertically padded,
     horizontally padded only where the window crosses the real image edge."""
     k, s = layer.k, layer.stride
     p = (k - 1) // 2 if layer.padding != "none" else 0
@@ -87,7 +74,7 @@ def _build_slab(feed: BinaryTensor, layer, win) -> np.ndarray:
         slab[:] = pad_word[:, None, None]
     src_lo, src_hi = max(lo, 0), min(hi, w)
     slab[:, p:p + h, src_lo - lo:src_hi - lo] = feed.words[:, :, src_lo:src_hi]
-    return slab
+    return BinaryTensor(feed.channels, h + 2 * p, hi - lo, slab)
 
 
 def _valid_taps(layer, win) -> tuple[int, int]:
@@ -112,112 +99,65 @@ def _valid_taps(layer, win) -> tuple[int, int]:
 def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
                     residual, net: NetworkDesc, arch: ArchConfig,
                     bank_activity: dict) -> tuple[IntTensor, BinaryTensor, LayerStats]:
-    l = plan.layer
-    win = plan.window
+    l, win, nest = plan.layer, plan.window, plan.nest
     if getattr(l, "flatten", False):
         feed = feed.flatten()
     if feed.channels != l.n_in:
         raise ShapeError(f"layer {l.name}: feed has {feed.channels} channels, expected {l.n_in}")
     k, s = l.k, l.stride
-    p = (k - 1) // 2 if l.padding != "none" else 0
-    o_h, o_w = l.out_h, win.out_w
-    i_w = win.in_w
-    lanes = arch.compute.lanes_per_unit
+    o_h, o_w, i_w = nest.o_h, nest.o_w, nest.in_w
+
+    # Bit-true sums of every block at once.  Popcount partial sums are
+    # non-negative, so the accumulator only grows over the blocks: one range
+    # check (or clip) of the total equals one after every block.
     w_all = np.asarray(weights, dtype=np.uint16)
     if w_all.ndim == 4:
         w_all = w_all[None]
-
     slab = _build_slab(feed, l, win)
-    masks = lane_masks(l.n_in)
-    views = [
-        np.lib.stride_tricks.sliding_window_view(slab[g], (k, k))[::s, ::s]
-        for g in range(slab.shape[0])
-    ]
+    plane = xnor_conv(slab, w_all[0], k, s, padding="none").values
+    for base in range(1, l.bases):
+        plane += xnor_conv(slab, w_all[base], k, s, padding="none").values
+    sums = IntTensor(l.n_out, o_h, o_w, plane).check_range(
+        net.acc_bits, net.acc_mode, f"layer {l.name}: partial sum")
 
-    st = LayerStats(name=l.name, k=k, lanes=lanes, tile=plan.tile,
-                    active_banks=plan.active_banks)
-    st.ops_graph = 2 * k * k * l.n_in * l.n_out * o_h * o_w * l.bases
-
-    tiles_o = channel_tiles(l.n_out, C_O_TILE)
-    tiles_i = channel_tiles(l.n_in, C_I_TILE)
+    # Counters of the block nest in closed form; sum(out_tiles) == n_out.
+    blocks = len(nest.out_tiles) * nest.blocks_per_out_tile
+    segments = nest.blocks_per_out_tile * l.n_out * o_h    # row segments
+    chunk_words = nest.blocks_per_out_tile * l.n_out * k * k
+    row_words = blocks * nest.rows_used * i_w
     vy_sum, vx_sum = _valid_taps(l, win)
-    rows_used = min(l.in_h, (o_h - 1) * s - p + k) - max(0, -p)
-    k_first = min(l.in_h, k - p)
-    acc_lo = -(1 << (net.acc_bits - 1))
-    acc_hi = (1 << (net.acc_bits - 1)) - 1
-
-    plane = np.zeros((l.n_out, o_h, o_w), dtype=np.int32)
-    first_block = True
-    for n_o, ct_o in enumerate(tiles_o):
-        ch0 = n_o * C_O_TILE
-        for base in range(l.bases):
-            for n_i, ct_i in enumerate(tiles_i):
-                # filter chunk: PB (or I/O stream) -> row banks
-                chunk_words = ct_o * k * k
-                st.pb_reads += chunk_words
-                st.rowbank_writes += chunk_words
-                load_cycles = chunk_words
-                if plan.stream_params:
-                    load_cycles = max(
-                        load_cycles,
-                        -(-chunk_words * 16 // arch.memory.io_bits_per_cycle))
-                segments = o_h * ct_o
-                block_span = segments * (o_w + k * k + PIPE_FILL)
-                if first_block or block_span < load_cycles:
-                    st.cycles_load += load_cycles
-                first_block = False
-
-                # image rows: first window's rows stall, the rest prefetch
-                st.fmm_reads += rows_used * i_w
-                st.rowbank_writes += rows_used * i_w
-                st.cycles_load += k_first * i_w
-
-                # row segments
-                st.cycles_load += segments * k * k        # filter pass to array
-                st.cycles_fill += segments * PIPE_FILL
-                st.cycles_compute += segments * o_w
-                st.rowbank_reads += segments * (k * k + s * k * o_w)
-                st.nmcu_rmw += ct_o * o_h * o_w
-
-                # bit-true accumulate for this block
-                wg = w_all[base, ch0:ch0 + ct_o, :, :, n_i]
-                matches = POPCOUNT16[
-                    (~(views[n_i][None] ^ wg[:, None, None])) & masks[n_i]
-                ].sum(axis=(3, 4), dtype=np.int32)
-                plane[ch0:ch0 + ct_o] += matches
-                lo_v = plane[ch0:ch0 + ct_o].min()
-                hi_v = plane[ch0:ch0 + ct_o].max()
-                if lo_v < acc_lo or hi_v > acc_hi:
-                    if net.acc_mode == "saturate":
-                        np.clip(plane[ch0:ch0 + ct_o], acc_lo, acc_hi,
-                                out=plane[ch0:ch0 + ct_o])
-                    else:
-                        raise AccumulatorOverflow(
-                            f"layer {l.name}: partial sum {lo_v}/{hi_v} outside "
-                            f"signed {net.acc_bits}-bit range")
-
-    # achieved ops: full channel/tap work minus edge-idle lanes
-    st.xnor_ops_done = 2 * l.n_in * l.n_out * l.bases * vy_sum * vx_sum
+    st = LayerStats(
+        name=l.name, k=k, lanes=arch.compute.lanes_per_unit, tile=plan.tile,
+        active_banks=plan.active_banks,
+        ops_graph=2 * k * k * l.n_in * l.n_out * o_h * o_w * l.bases,
+        cycles_compute=segments * o_w,
+        # filter chunks, the stalling first rows, and filter passes to the array
+        cycles_load=(nest.visible_load_cycles() + blocks * nest.k_first * i_w
+                     + segments * k * k),
+        cycles_fill=segments * PIPE_FILL,
+        # achieved ops: full channel/tap work minus edge-idle lanes
+        xnor_ops_done=2 * l.n_in * l.n_out * l.bases * vy_sum * vx_sum,
+        fmm_reads=row_words,
+        pb_reads=chunk_words,
+        rowbank_reads=segments * (k * k + s * k * o_w),
+        rowbank_writes=chunk_words + row_words,
+        nmcu_rmw=segments * o_w,
+    )
 
     # residual accumulation at final write-back
     if residual is not None:
         kind, data = residual
         if kind == "int":
-            plane += data[:, :, win.out_lo:win.out_hi]
+            sums.values += data[:, :, win.out_lo:win.out_hi]
             st.fmm_reads += l.n_out * o_h * o_w
         else:
             sl = BinaryTensor(l.n_out, o_h, o_w,
                               data.words[:, :, win.out_lo:win.out_hi].copy())
-            plane += sl.to_bipolar().astype(np.int32)
+            sums.values += sl.to_bipolar()
             st.fmm_reads += n_groups(l.n_out) * o_h * o_w
-        if plane.min() < acc_lo or plane.max() > acc_hi:
-            if net.acc_mode == "saturate":
-                np.clip(plane, acc_lo, acc_hi, out=plane)
-            else:
-                raise AccumulatorOverflow(f"layer {l.name}: residual add overflowed")
+        sums.check_range(net.acc_bits, net.acc_mode, f"layer {l.name}: residual add")
         st.nmcu_rmw += l.n_out * o_h * o_w
 
-    sums = IntTensor(l.n_out, o_h, o_w, plane)
     th = l.thresholds
     if th is None:
         raise ShapeError(f"layer {l.name}: thresholds missing")
@@ -283,6 +223,9 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
     binary = net.binary_layers()
     if not binary:
         return outputs, stats
+    if (x.channels, x.height, x.width) != net.sim_input_dims():
+        raise ShapeError(f"input is {x.channels}x{x.height}x{x.width}, network "
+                         f"{net.name} takes {'x'.join(map(str, net.sim_input_dims()))}")
 
     full_bits: dict[str, np.ndarray] = {}
     for pl in plan.exec_order:

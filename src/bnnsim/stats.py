@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-_COUNTERS = (
-    "cycles_compute", "cycles_load", "cycles_fill", "cycles_pool", "cycles_other",
-    "xnor_ops_done", "fmm_reads", "fmm_writes", "pb_reads",
+_TOTALS = (
+    "cycles_total", "cycles_compute", "cycles_load", "xnor_ops_done",
+    "xnor_lane_slots", "fmm_reads", "fmm_writes", "pb_reads",
     "rowbank_reads", "rowbank_writes", "nmcu_rmw", "io_bits",
 )
 
@@ -57,68 +57,21 @@ class LayerStats:
         return (self.fmm_reads + self.fmm_writes + self.pb_reads
                 + self.rowbank_reads + self.rowbank_writes + 2 * self.nmcu_rmw)
 
-    def add(self, other: "LayerStats") -> None:
-        for name in _COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
 
 @dataclass
 class Stats:
+    """Counters of one simulated run.  Each name in `_TOTALS` reads as an
+    attribute whose value is that counter summed over the layer runs."""
+
     net: str = ""
     seed: int | None = None
     layers: list[LayerStats] = field(default_factory=list)
     bank_activity: dict = field(default_factory=dict)  # bank index -> accesses
 
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(l, attr) for l in self.layers)
-
-    @property
-    def cycles_total(self) -> int:
-        return self._sum("cycles_total")
-
-    @property
-    def cycles_compute(self) -> int:
-        return self._sum("cycles_compute")
-
-    @property
-    def cycles_load(self) -> int:
-        return self._sum("cycles_load")
-
-    @property
-    def xnor_ops_done(self) -> int:
-        return self._sum("xnor_ops_done")
-
-    @property
-    def xnor_lane_slots(self) -> int:
-        return self._sum("xnor_lane_slots")
-
-    @property
-    def io_bits(self) -> int:
-        return self._sum("io_bits")
-
-    @property
-    def nmcu_rmw(self) -> int:
-        return self._sum("nmcu_rmw")
-
-    @property
-    def fmm_reads(self) -> int:
-        return self._sum("fmm_reads")
-
-    @property
-    def fmm_writes(self) -> int:
-        return self._sum("fmm_writes")
-
-    @property
-    def pb_reads(self) -> int:
-        return self._sum("pb_reads")
-
-    @property
-    def rowbank_reads(self) -> int:
-        return self._sum("rowbank_reads")
-
-    @property
-    def rowbank_writes(self) -> int:
-        return self._sum("rowbank_writes")
+    def __getattr__(self, name: str) -> int:
+        if name in _TOTALS:
+            return sum(getattr(l, name) for l in self.layers)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def time_s(self, f_clk: float) -> float:
         return self.cycles_total / f_clk
@@ -128,9 +81,7 @@ class Stats:
         lines = [f"net = {self.net}"]
         if self.seed is not None:
             lines.append(f"seed = {self.seed}")
-        for key in ("cycles_total", "cycles_compute", "cycles_load", "xnor_ops_done",
-                    "xnor_lane_slots", "fmm_reads", "fmm_writes", "pb_reads",
-                    "rowbank_reads", "rowbank_writes", "nmcu_rmw", "io_bits"):
+        for key in _TOTALS:
             lines.append(f"{key} = {getattr(self, key)}")
         lines.append("[layers]")
         cols = ["name", "tile", "k", "ops_graph", "xnor_ops_done", "cycles_compute",

@@ -157,14 +157,15 @@ class IntTensor:
                 raise ShapeError(f"values shape {values.shape} != {(channels, height, width)}")
             self.values = values
 
-    def check_range(self, acc_bits: int = 16, mode: str = "error") -> "IntTensor":
+    def check_range(self, acc_bits: int = 16, mode: str = "error",
+                    what: str = "partial sum") -> "IntTensor":
         """Enforce the accumulator width: raise or saturate on overflow."""
         lo, hi = -(1 << (acc_bits - 1)), (1 << (acc_bits - 1)) - 1
         if mode == "saturate":
             np.clip(self.values, lo, hi, out=self.values)
         elif self.values.min(initial=0) < lo or self.values.max(initial=0) > hi:
             raise AccumulatorOverflow(
-                f"partial sum outside signed {acc_bits}-bit range "
+                f"{what} outside signed {acc_bits}-bit range "
                 f"[{self.values.min()}, {self.values.max()}]"
             )
         return self

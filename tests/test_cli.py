@@ -83,3 +83,44 @@ def test_arch_env_var(tmp_path, monkeypatch, capsys):
     rc = main(["run", "vgg_like_cifar10", "--seed", "1", "--out",
                str(tmp_path / "o.run")])
     assert rc == 0  # the 48 kB geometry from the env var is picked up and fits
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("operating", "f_clk", "-1"),
+    ("operating", "vdd", "0"),
+    ("memory", "io_bits_per_cycle", "0"),
+    ("memory", "fmm_bank_words", "0"),
+    ("memory", "fmm_src_banks", "-4"),
+    ("compute", "n_bpu", "0"),
+])
+def test_run_rejects_bad_arch_value(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "bad.arch"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    rc = main(["run", "resnet18_ilsvrc", "--arch", str(cfg)])
+    assert rc == 2
+    assert key in _one_error_line(capsys)
+
+
+def test_run_rejects_input_of_wrong_dims(tmp_path, capsys):
+    from bnnsim.netio import save_tensor
+    from bnnsim.tensors import BinaryTensor
+
+    blob = tmp_path / "x.bin"
+    save_tensor(blob, BinaryTensor(16, 8, 8))
+    rc = main(["run", "vgg_like_cifar10", "--input", str(blob)])
+    assert rc == 2
+    assert "16x32x32" in _one_error_line(capsys)
+
+
+def test_report_rejects_binary_file(tmp_path, capsys):
+    blob = tmp_path / "run.bin"
+    blob.write_bytes(bytes(range(256)))
+    rc = main(["report", str(blob)])
+    assert rc == 2
+    _one_error_line(capsys)

@@ -1,12 +1,19 @@
 """Loop-nest structure, reuse bounds, ping-pong, tiling, and trace output."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch
-from bnnsim.netio import random_network
+from bnnsim.netio import (
+    builtin_network,
+    random_input,
+    random_network,
+    random_thresholds,
+    random_weights,
+)
 from bnnsim.network import LayerConfig, NetworkDesc
 from bnnsim.scheduler import (
     C_I_TILE,
@@ -14,8 +21,8 @@ from bnnsim.scheduler import (
     channel_tiles,
     plan_layer,
     plan_network,
-    spatial_tile,
 )
+from bnnsim.simulator import execute
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,14 +123,14 @@ def test_plan_layer_and_spatial_tile_single():
     layer = LayerConfig(name="a", k=3, n_out=16)
     sched = plan_layer(layer, default_arch(), (16, 8, 8))
     assert len(sched.plans) == 1
-    tp = spatial_tile(LayerConfig(name="a", k=3, n_out=16), (16, 8, 8), default_arch())
+    tp = sched.tile_plan
     assert len(tp.spatial_tiles) == 1
     assert tp.spatial_tiles[0][2] == 0  # no overlap when untiled
 
 
 def test_spatial_tile_oversized():
     arch = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
-    tp = spatial_tile(LayerConfig(name="a", k=3, n_out=16), (16, 8, 80), arch)
+    tp = plan_layer(LayerConfig(name="a", k=3, n_out=16), arch, (16, 8, 80)).tile_plan
     assert len(tp.spatial_tiles) >= 2
     assert any(ov > 0 for _, _, ov in tp.spatial_tiles[1:])
 
@@ -197,3 +204,49 @@ def test_resident_params_not_streamed():
     plan = plan_network(net, default_arch())
     assert not plan.schedules[0].plans[0].stream_params
     assert plan.fit.streamed_param_bits == 0
+
+
+@pytest.mark.parametrize("io_bits", [16, 2])
+@pytest.mark.parametrize("name", ["vgg_like_cifar10", "resnet18_ilsvrc",
+                                  "alexnet_dorefa_ilsvrc", "sed_freesound"])
+def test_trace_sums_equal_simulator_counters(name, io_bits):
+    # per (layer, tile): summed segment-detail event sizes reproduce the
+    # counters the simulator charged, and the chunk loads the trace leaves
+    # visible are the ones it charged as load stalls
+    net = builtin_network(name)
+    rng = np.random.default_rng(5)
+    random_thresholds(net, rng)
+    arch = default_arch()
+    arch.memory.io_bits_per_cycle = io_bits
+    plan = plan_network(net, arch)
+    _, stats = execute(plan, net, random_input(net, rng), random_weights(net, rng), arch)
+    charged = {(ls.name, ls.tile): ls for ls in stats.layers}
+    for sched in plan.schedules:
+        l = sched.layer
+        sizes = defaultdict(Counter)
+        chunks = defaultdict(list)   # tile -> (size, hidden) per chunk load
+        for e in sched.events():
+            tile = e.coords.get("tile", 0)
+            sizes[tile][e.kind] += e.size
+            if e.kind == "LoadFilterChunkToRowBanks":
+                chunks[tile].append((e.size, e.hidden))
+        for pl in sched.plans:
+            got, st = sizes[pl.tile], charged[(l.name, pl.tile)]
+            assert got["LoadFilterChunkToRowBanks"] == st.pb_reads
+            assert got["ProducePartialSum"] == st.cycles_compute
+            if l.residual is None:
+                assert got["LoadFMRowToRowBanks"] == st.fmm_reads
+                assert got["NMCUAccumulate"] == st.nmcu_rmw
+
+            def load(words):
+                if not pl.stream_params:
+                    return words
+                return max(words, -(-words * 16 // io_bits))
+
+            # load stalls: the visible chunks, the first k - pad rows of
+            # every block, and the k*k-word filter pass of every row segment
+            p = (l.k - 1) // 2 if l.padding != "none" else 0
+            first_rows = len(chunks[pl.tile]) * min(l.in_h, l.k - p) * pl.window.in_w
+            stalls = sum(load(size) for size, hidden in chunks[pl.tile] if not hidden)
+            assert st.cycles_load == stalls + first_rows + got["LoadFilterToBPU"], \
+                f"layer {l.name} tile {pl.tile}: visible chunk loads differ"

@@ -137,7 +137,7 @@ def test_accumulator_overflow_detected():
     rng = np.random.default_rng(59)
     net = make_net([LayerConfig(name="a", k=3, n_out=16)], 64, 4, 4, rng,
                    acc_bits=8)
-    with pytest.raises(AccumulatorOverflow):
+    with pytest.raises(AccumulatorOverflow, match="layer a: partial sum"):
         simulate(net, rng)
 
 

@@ -1,0 +1,143 @@
+"""Three-way bit identity (simulator, golden model, bipolar oracle) on the
+`.net` features that `random_network` never draws: input reroutes,
+flatten, multiple bases, residuals from the external prefix, int
+residuals, saturating accumulators, tiled runs, and a ResNet-18 frame."""
+
+import numpy as np
+import pytest
+
+from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch
+from bnnsim.functional import ThresholdVector, run_network_reference
+from bnnsim.netio import builtin_network, random_input, random_thresholds, random_weights
+from bnnsim.network import LayerConfig, NetworkDesc
+from bnnsim.oracle import run_bipolar_reference
+from bnnsim.scheduler import plan_network
+from bnnsim.simulator import execute
+from bnnsim.tensors import BinaryTensor
+
+TINY = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
+
+
+def three_way(net, arch, x=None, weights=None, seed=0):
+    """Run all three models; every layer's bits and both reference sums must
+    agree.  Returns (plan, golden results)."""
+    rng = np.random.default_rng(seed)
+    if any(l.thresholds is None for l in net.binary_layers()):
+        random_thresholds(net, rng)
+        for l in net.binary_layers():  # centre on the sum over all bases
+            l.thresholds = ThresholdVector(l.thresholds.t * l.bases, l.thresholds.flip)
+    weights = weights if weights is not None else random_weights(net, rng)
+    x = x if x is not None else random_input(net, rng)
+    plan = plan_network(net, arch)
+    outputs, _ = execute(plan, net, x, weights, arch)
+    golden = run_network_reference(net, x, weights)
+    brute = run_bipolar_reference(net, x, weights)
+    for l in net.binary_layers():
+        assert np.array_equal(golden[l.name].sums.values, brute[l.name][0]), \
+            f"layer {l.name}: golden sums != oracle sums"
+        assert outputs[l.name].bit_equal(golden[l.name].bits), \
+            f"layer {l.name}: simulator != golden model"
+        assert np.array_equal(outputs[l.name].to_bits(), brute[l.name][1]), \
+            f"layer {l.name}: simulator != oracle"
+    return plan, golden
+
+
+def net_of(c, h, w, *layers, **kw):
+    return NetworkDesc("t", c, h, w, list(layers), **kw).validate()
+
+
+def reroute(h, w):
+    # a downsample branch and a rerouted main branch, joined by a residual
+    return net_of(
+        16, h, w,
+        LayerConfig(name="a", k=3, n_out=32),
+        LayerConfig(name="ds", k=1, n_out=32, stride=2),
+        LayerConfig(name="b", k=3, n_out=32, stride=2, input_layer="a"),
+        LayerConfig(name="c", k=3, n_out=32, residual="ds", residual_mode="binary"),
+        LayerConfig(name="d", k=1, n_out=16, input_layer="a", pool="max"),
+    )
+
+
+def flatten(h, w):
+    return net_of(
+        16, h, w,
+        LayerConfig(name="a", k=3, n_out=16, pool="max"),
+        LayerConfig(name="fc", k=1, n_out=40, flatten=True),
+        LayerConfig(name="out", k=1, n_out=10),
+    )
+
+
+def flatten_first(h, w):
+    # the first binary layer flattens the map an external prefix produced
+    return net_of(
+        3, h, w,
+        LayerConfig(name="stem", k=3, n_out=32, external=True),
+        LayerConfig(name="fc", k=1, n_out=24, flatten=True),
+    )
+
+
+def multibase(h, w):
+    return net_of(
+        20, h, w,
+        LayerConfig(name="a", k=3, n_out=24, bases=3),
+        LayerConfig(name="b", k=5, n_out=24, bases=2, residual="a", residual_mode="binary"),
+        LayerConfig(name="c", k=1, n_out=16, bases=3, pool="avg"),
+    )
+
+
+def prefix_residual(h, w):
+    # a binary residual whose source is the network input map
+    return net_of(
+        3, h, w,
+        LayerConfig(name="stem", k=3, n_out=32, external=True),
+        LayerConfig(name="a", k=3, n_out=32, padding="same1"),
+        LayerConfig(name="b", k=3, n_out=32, residual="stem", residual_mode="binary"),
+        LayerConfig(name="head", k=1, n_out=10, external=True),
+    )
+
+
+def int_residual(h, w):
+    # an int residual across a rerouted layer
+    return net_of(
+        16, h, w,
+        LayerConfig(name="a", k=3, n_out=32),
+        LayerConfig(name="b", k=1, n_out=32),
+        LayerConfig(name="c", k=3, n_out=32, input_layer="a", residual="b",
+                    residual_mode="int"),
+    )
+
+
+FEATURES = [reroute, flatten, flatten_first, multibase, prefix_residual, int_residual]
+
+
+@pytest.mark.parametrize("make", FEATURES, ids=lambda f: f.__name__)
+def test_feature_three_way(make):
+    three_way(make(8, 10), default_arch())
+
+
+@pytest.mark.parametrize("make", [reroute, multibase, prefix_residual, int_residual],
+                         ids=lambda f: f.__name__)
+def test_feature_three_way_tiled(make):
+    plan, _ = three_way(make(8, 48), TINY, seed=1)
+    assert any(len(s.plans) > 1 for s in plan.schedules), "tiny memory did not tile"
+
+
+def test_saturate_clips_conv_sum_before_residual():
+    # all-zero maps and weights: every tap matches, so each conv sum is
+    # 9*64 = 576 and clips to 127 in an 8-bit accumulator; a's bits are 0
+    # (-1), so b adds -1 after clipping: 126, which is below b's threshold
+    net = net_of(
+        64, 4, 4,
+        LayerConfig(name="a", k=3, n_out=64, thresholds=ThresholdVector.constant(64, 128)),
+        LayerConfig(name="b", k=3, n_out=64, residual="a", residual_mode="binary",
+                    thresholds=ThresholdVector.constant(64, 127)),
+        acc_bits=8, acc_mode="saturate",
+    )
+    zeros = {l.name: np.zeros((1, 64, 3, 3, 4), dtype=np.uint16) for l in net.layers}
+    _, golden = three_way(net, default_arch(), x=BinaryTensor(64, 4, 4), weights=zeros)
+    assert np.all(golden["b"].sums.values == 126)
+    assert not golden["b"].bits.to_bits().any()
+
+
+def test_resnet18_frame_three_way():
+    three_way(builtin_network("resnet18_ilsvrc"), default_arch(), seed=18)
