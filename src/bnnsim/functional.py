@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateChannel, ShapeError
-from .tensors import (
-    POPCOUNT16,
-    BinaryTensor,
-    IntTensor,
-    lane_masks,
-    n_groups,
-)
+from .tensors import BinaryTensor, IntTensor, lane_masks, n_groups, unpack_lanes
 
 POOL_WINDOW = 4  # 2x2, stride 2
 
@@ -172,29 +166,40 @@ def xnor_conv(
 
     `weights` is packed (n_out, k, k, groups) uint16.  'same' padding
     contributes pad-bit comparisons over all input lanes.
+
+    Over N lanes popcount(xnor) = (N + dot)/2, dot being the sum of the +/-1
+    products: k*k float32 (n_out x n_in) @ (n_in x oh*ow) tap products, whose
+    partial sums are integers of magnitude <= k*k*n_in, exact below 2**24.
     """
     weights = np.asarray(weights, dtype=np.uint16)
-    n_out = weights.shape[0]
-    g_in = n_groups(x.channels)
+    n_out, n_in = weights.shape[0], x.channels
+    g_in = n_groups(n_in)
     if weights.shape != (n_out, k, k, g_in):
         raise ShapeError(f"weight shape {weights.shape} != {(n_out, k, k, g_in)}")
+    taps = k * k * n_in
+    if taps >= 1 << 24:  # past this, float32 sums stop being exact
+        raise ShapeError(f"{k}x{k}x{n_in} taps exceed the exact float32 range")
     padded = padding != "none"
     pad_bit = 1 if padding == "same1" else 0
     oh, ow = conv_out_hw(x.height, x.width, k, stride, padded)
     p = (k - 1) // 2 if padded else 0
 
-    words = _padded_words(x, p, pad_bit)
-    masks = lane_masks(x.channels)
-    acc = np.zeros((n_out, oh, ow), dtype=np.int32)
-    for g in range(g_in):
-        win = np.lib.stride_tricks.sliding_window_view(words[g], (k, k))
-        win = win[::stride, ::stride]  # (oh, ow, k, k)
-        wg = weights[:, :, :, g]  # (n_out, k, k)
-        matches = POPCOUNT16[
-            (~(win[None, :, :, :, :] ^ wg[:, None, None, :, :])) & masks[g]
-        ]
-        acc += matches.sum(axis=(3, 4), dtype=np.int32)
-    return IntTensor(n_out, oh, ow, acc)
+    # 0/1 lanes -> -1/+1: the (H, W, n_in) map at once, the (n_out, k, k, n_in)
+    # weights one tap at a time, so only one tap of them is held as float32
+    xb = np.multiply(unpack_lanes(_padded_words(x, p, pad_bit).transpose(1, 2, 0), n_in),
+                     2, dtype=np.float32)
+    xb -= 1
+    wb = unpack_lanes(weights, n_in)
+    rows, cols = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    dot = np.zeros((n_out, oh * ow), dtype=np.float32)
+    for u in range(k):
+        for v in range(k):
+            w_tap = np.multiply(wb[:, u, v], 2, dtype=np.float32)
+            w_tap -= 1
+            tap = xb[u:u + rows:stride, v:v + cols:stride].reshape(oh * ow, n_in)
+            dot += w_tap @ tap.T
+    acc = (dot.astype(np.int32) + taps) >> 1
+    return IntTensor(n_out, oh, ow, acc.reshape(n_out, oh, ow))
 
 
 def threshold_binarize(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:

@@ -281,9 +281,10 @@ def random_weights(net: NetworkDesc, rng: np.random.Generator) -> dict:
 
 
 def random_thresholds(net: NetworkDesc, rng: np.random.Generator, flip_prob: float = 0.2) -> None:
-    """Attach plausible random thresholds to every binary layer."""
+    """Attach plausible random thresholds to every binary layer, centred on
+    half the largest sum over all of its bases."""
     for l in net.binary_layers():
-        n = l.k * l.k * l.n_in
+        n = l.bases * l.k * l.k * l.n_in
         mid = n // 2
         spread = max(1, n // 4)
         t = rng.integers(mid - spread, mid + spread + 1, size=l.n_out).astype(np.int32)

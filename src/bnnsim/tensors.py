@@ -17,10 +17,6 @@ from .errors import AccumulatorOverflow, ShapeError
 
 LANES = 16  # channels per packed word
 
-# 16-bit popcount lookup, built from the 8-bit table via outer addition.
-_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1).astype(np.uint8)
-POPCOUNT16 = (_POP8[:, None] + _POP8[None, :]).reshape(65536)  # index = hi*256 + lo
-
 
 def n_groups(channels: int) -> int:
     return -(-channels // LANES)
@@ -39,9 +35,11 @@ def lane_masks(channels: int) -> np.ndarray:
     return np.array([lane_mask(channels, g) for g in range(n_groups(channels))], dtype=np.uint16)
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Set-bit count of a uint16 array, elementwise."""
-    return POPCOUNT16[words]
+def unpack_lanes(words: np.ndarray, channels: int) -> np.ndarray:
+    """0/1 uint8 lanes of packed words whose last axis is the channel group:
+    (..., groups) -> (..., channels); masked lanes are dropped."""
+    bytes_ = np.ascontiguousarray(words, dtype="<u2").view(np.uint8)
+    return np.unpackbits(bytes_, axis=-1, bitorder="little")[..., :channels]
 
 
 @dataclass
@@ -76,21 +74,16 @@ class BinaryTensor:
         bits = np.asarray(bits)
         c, h, w = bits.shape
         g = n_groups(c)
-        padded = np.zeros((g * LANES, h, w), dtype=np.uint32)
-        padded[:c] = bits.astype(np.uint32) & 1
-        shifts = (np.arange(LANES, dtype=np.uint32) << np.zeros(1, dtype=np.uint32))[:, None, None]
-        words = np.zeros((g, h, w), dtype=np.uint16)
-        for grp in range(g):
-            lanes = padded[grp * LANES:(grp + 1) * LANES]
-            words[grp] = (lanes << shifts).sum(0).astype(np.uint16)
+        lanes = np.zeros((g * LANES, h, w), dtype=np.uint8)
+        lanes[:c] = bits.astype(np.uint8) & 1
+        packed = np.packbits(lanes.reshape(g, LANES, h, w), axis=1, bitorder="little")
+        words = packed[:, 0].astype(np.uint16) | (packed[:, 1].astype(np.uint16) << 8)
         return cls(c, h, w, words)
 
     def to_bits(self) -> np.ndarray:
         """Unpack to a (C, H, W) uint8 array of 0/1 bits."""
-        out = np.zeros((self.channels, self.height, self.width), dtype=np.uint8)
-        for c in range(self.channels):
-            out[c] = (self.words[c // LANES] >> (c % LANES)) & 1
-        return out
+        lanes = unpack_lanes(self.words.transpose(1, 2, 0), self.channels)
+        return np.ascontiguousarray(lanes.transpose(2, 0, 1))
 
     def to_bipolar(self) -> np.ndarray:
         """Unpack to int8 values in {-1, +1}."""

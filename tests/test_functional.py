@@ -22,7 +22,7 @@ from bnnsim.functional import (
     xnor_conv,
 )
 from bnnsim.oracle import bipolar_conv, unpack_bipolar, unpack_weights_bipolar
-from bnnsim.tensors import IntTensor, binarize_pack
+from bnnsim.tensors import BinaryTensor, IntTensor, binarize_pack, lane_mask, n_groups
 
 
 def pack_weights(bip):
@@ -97,6 +97,84 @@ def test_conv_dimension_mismatch():
     w = np.zeros((2, 3, 3, 2), dtype=np.uint16)  # wrong group count
     with pytest.raises(ShapeError):
         xnor_conv(x, w, k=3)
+
+
+def per_bit_conv(x, weights, k, stride, padding):
+    """The definition, word by word: count the matching valid lanes of every
+    (tap, group) pair; pad words are all-zero (same0) or all-one (same1)."""
+    g = n_groups(x.channels)
+    masks = [lane_mask(x.channels, i) for i in range(g)]
+    p = (k - 1) // 2 if padding != "none" else 0
+    pad = masks if padding == "same1" else [0] * g
+    oh = (x.height + 2 * p - k) // stride + 1
+    ow = (x.width + 2 * p - k) // stride + 1
+    out = np.zeros((len(weights), oh, ow), dtype=np.int64)
+    for o, w in enumerate(weights.tolist()):
+        for oy in range(oh):
+            for ox in range(ow):
+                total = 0
+                for u in range(k):
+                    y = oy * stride + u - p
+                    for v in range(k):
+                        xx = ox * stride + v - p
+                        inside = 0 <= y < x.height and 0 <= xx < x.width
+                        for i in range(g):
+                            a = int(x.words[i, y, xx]) if inside else pad[i]
+                            total += bin(~(a ^ w[u][v][i]) & masks[i]).count("1")
+                out[o, oy, ox] = total
+    return out
+
+
+def random_operands(rng, n_in, h, w, n_out, k):
+    """A packed map and packed weights; the weights' masked lanes hold junk."""
+    g = n_groups(n_in)
+    x = BinaryTensor(n_in, h, w, rng.integers(0, 1 << 16, size=(g, h, w), dtype=np.uint16))
+    return x, rng.integers(0, 1 << 16, size=(n_out, k, k, g), dtype=np.uint16)
+
+
+@pytest.mark.parametrize("padding", ["none", "same0", "same1"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_conv_matches_per_bit_count(k, stride, padding):
+    rng = np.random.default_rng(1000 * k + 10 * stride + len(padding))
+    for n_in in (1, 17, 37, 64):
+        x, w = random_operands(rng, n_in, 9, 8, 3, k)
+        got = xnor_conv(x, w, k, stride, padding)
+        assert np.array_equal(got.values, per_bit_conv(x, w, k, stride, padding)), n_in
+
+
+def test_conv_matches_per_bit_count_flattened():
+    rng = np.random.default_rng(11)
+    flat = random_operands(rng, 32, 3, 2, 5, 1)[0].flatten()
+    w = rng.integers(0, 1 << 16, size=(5, 1, 1, n_groups(flat.channels)), dtype=np.uint16)
+    got = xnor_conv(flat, w, 1, padding="none")
+    assert got.values.shape == (5, 1, 1)
+    assert np.array_equal(got.values, per_bit_conv(flat, w, 1, 1, "none"))
+
+
+def test_conv_counts_xnor_bits_of_single_words():
+    # 16 channels at 1x1 and k=1: the sum is the popcount of one xnor word
+    def count(a, b):
+        x = BinaryTensor(16, 1, 1, np.array([[[a]]], dtype=np.uint16))
+        return int(xnor_conv(x, np.array([[[[b]]]], dtype=np.uint16), 1).values[0, 0, 0])
+
+    assert count(0, 0xFFFF) == 0
+    assert count(0x1234, 0x1234) == 16
+    assert count(0xFFFF ^ 0b1011, 0) == 3
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 1 << 16, size=1000, dtype=np.uint16)
+    b = rng.integers(0, 1 << 16, size=(4, 1, 1, 1), dtype=np.uint16)
+    got = xnor_conv(BinaryTensor(16, 1, 1000, a[None, None]), b, 1).values[:, 0]
+    want = [[bin(~(int(p) ^ int(q)) & 0xFFFF).count("1") for p in a] for q in b.ravel()]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k, n_in", [(1, 1 << 24), (7, -(-(1 << 24) // 49))])
+def test_conv_rejects_inexact_tap_count(k, n_in):
+    x = BinaryTensor(n_in, 1, 1)
+    w = np.zeros((1, k, k, n_groups(n_in)), dtype=np.uint16)
+    with pytest.raises(ShapeError, match="exact float32"):
+        xnor_conv(x, w, k)
 
 
 def test_weight_unpack_roundtrip():

@@ -6,23 +6,11 @@ import pytest
 from bnnsim.errors import AccumulatorOverflow, ShapeError
 from bnnsim.tensors import (
     LANES,
-    POPCOUNT16,
     BinaryTensor,
     IntTensor,
     binarize_pack,
     lane_mask,
-    popcount,
 )
-
-
-def test_popcount_table():
-    assert POPCOUNT16[0] == 0
-    assert POPCOUNT16[0xFFFF] == 16
-    assert POPCOUNT16[0b1011] == 3
-    rng = np.random.default_rng(0)
-    vals = rng.integers(0, 1 << 16, size=1000).astype(np.uint16)
-    expected = np.array([bin(v).count("1") for v in vals])
-    assert np.array_equal(popcount(vals), expected)
 
 
 def test_binarize_single_negative():
@@ -71,6 +59,22 @@ def test_pack_roundtrip():
         bip = rng.choice([-1, 1], size=(c, h, w)).astype(np.int8)
         t = binarize_pack(bip)
         assert np.array_equal(t.to_bipolar(), bip)
+
+
+def test_pack_unpack_match_per_bit_loops():
+    # word g holds channel 16*g + i in bit i; only the low bit of a value counts
+    rng = np.random.default_rng(5)
+    for c, h, w in [(1, 1, 1), (17, 3, 5), (64, 2, 7), (100, 4, 1)]:
+        vals = rng.integers(0, 4, size=(c, h, w))
+        want = np.zeros((-(-c // LANES), h, w), dtype=np.uint16)
+        for ch in range(c):
+            want[ch // LANES] |= ((vals[ch] & 1) << (ch % LANES)).astype(np.uint16)
+        t = BinaryTensor.from_bits(vals)
+        assert np.array_equal(t.words, want)
+        bits = t.to_bits()
+        assert bits.dtype == np.uint8 and bits.shape == (c, h, w)
+        for ch in range(c):
+            assert np.array_equal(bits[ch], (want[ch // LANES] >> (ch % LANES)) & 1)
 
 
 def test_sign_zero_maps_to_minus_one():

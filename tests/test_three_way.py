@@ -24,8 +24,6 @@ def three_way(net, arch, x=None, weights=None, seed=0):
     rng = np.random.default_rng(seed)
     if any(l.thresholds is None for l in net.binary_layers()):
         random_thresholds(net, rng)
-        for l in net.binary_layers():  # centre on the sum over all bases
-            l.thresholds = ThresholdVector(l.thresholds.t * l.bases, l.thresholds.flip)
     weights = weights if weights is not None else random_weights(net, rng)
     x = x if x is not None else random_input(net, rng)
     plan = plan_network(net, arch)
@@ -141,3 +139,20 @@ def test_saturate_clips_conv_sum_before_residual():
 
 def test_resnet18_frame_three_way():
     three_way(builtin_network("resnet18_ilsvrc"), default_arch(), seed=18)
+
+
+def test_random_thresholds_centre_multibase_sums():
+    # centred on one base's sum, the thresholds sit below every 2- or 3-base
+    # sum: unflipped channels would be all ones whatever the number of bases
+    rng = np.random.default_rng(3)
+    nets = {b: net_of(32, 8, 8, LayerConfig(name="a", k=3, n_out=32, bases=b)) for b in (2, 3)}
+    for net in nets.values():
+        random_thresholds(net, rng)
+    flip = nets[3].layers[0].thresholds.flip
+    nets[2].layers[0].thresholds = ThresholdVector(nets[2].layers[0].thresholds.t, flip)
+    w, x = random_weights(nets[3], rng)["a"], random_input(nets[3], rng)
+    bits = {b: run_network_reference(net, x, {"a": w[:b]})["a"].bits.to_bits()
+            for b, net in nets.items()}
+    unflipped = bits[3][~flip]
+    assert unflipped.any() and not unflipped.all()
+    assert not np.array_equal(bits[2], bits[3])
