@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateChannel, ShapeError
-from .tensors import BinaryTensor, IntTensor, lane_masks, n_groups, unpack_lanes
+from .tensors import LANES, BinaryTensor, IntTensor, n_groups, unpack_lanes
 
 POOL_WINDOW = 4  # 2x2, stride 2
+_PRODUCT_CAP = 1 << 17  # float32 entries (512 KB) in each of xnor_conv's block buffers
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int = 1, padded: bool = True) -> tuple[int, int]:
@@ -142,16 +143,13 @@ def fold_thresholds(params: np.ndarray, n: int) -> ThresholdVector:
 # convolution and binarization
 # ---------------------------------------------------------------------------
 
-def _padded_words(x: BinaryTensor, pad: int, pad_bit: int) -> np.ndarray:
-    """Word array with spatial padding; pad words respect lane masks."""
-    if pad == 0:
-        return x.words
-    g, h, w = x.words.shape
-    out = np.zeros((g, h + 2 * pad, w + 2 * pad), dtype=np.uint16)
-    if pad_bit:
-        out[:] = lane_masks(x.channels)[:, None, None]
-    out[:, pad:pad + h, pad:pad + w] = x.words
-    return out
+def _bipolar_lanes(words: np.ndarray, channels: int) -> np.ndarray:
+    """int8 -1/+1 lanes of packed words whose last axis is the channel group;
+    converted before the masked lanes are sliced off, while contiguous."""
+    pm = unpack_lanes(words, LANES * words.shape[-1]).view(np.int8)
+    pm += pm
+    pm -= 1
+    return pm[..., :channels]
 
 
 def xnor_conv(
@@ -162,54 +160,94 @@ def xnor_conv(
     padding: str = "same0",
 ) -> IntTensor:
     """Binary-domain convolution: per output value, the popcount of matching
-    bits over the k x k window and all input channels.
+    bits over the k x k window and all input channels, summed over bases.
 
-    `weights` is packed (n_out, k, k, groups) uint16.  'same' padding
-    contributes pad-bit comparisons over all input lanes.
+    `weights` is packed (n_out, k, k, groups) or (bases, n_out, k, k, groups)
+    uint16.  'same' padding contributes pad-bit comparisons over all input
+    lanes.
 
-    Over N lanes popcount(xnor) = (N + dot)/2, dot being the sum of the +/-1
-    products: k*k float32 (n_out x n_in) @ (n_in x oh*ow) tap products, whose
-    partial sums are integers of magnitude <= k*k*n_in, exact below 2**24.
+    Over N lanes popcount(xnor) = (N + dot)/2, dot the sum of +/-1 products.
+    Stride s splits the padded map into float32 phases (rows a::s, columns
+    b::s) of row width wq; tap (s*du + a, s*dv + b) reads phase (a, b) at
+    offset du*wq + dv.  One GEMM per kernel row of a phase stacks its taps
+    along M (kn2row); each tap's product is added at its column shift.  Sums
+    are integers of magnitude <= bases*k*k*n_in, exact below 2**24.
     """
-    weights = np.asarray(weights, dtype=np.uint16)
-    n_out, n_in = weights.shape[0], x.channels
+    weights = np.asarray(weights, dtype=np.uint16).reshape(-1, *np.shape(weights)[-4:])
+    bases, n_out, n_in = weights.shape[0], weights.shape[1], x.channels
     g_in = n_groups(n_in)
-    if weights.shape != (n_out, k, k, g_in):
-        raise ShapeError(f"weight shape {weights.shape} != {(n_out, k, k, g_in)}")
-    taps = k * k * n_in
+    if weights.shape[1:] != (n_out, k, k, g_in):
+        raise ShapeError(f"weight shape {weights.shape[1:]} != {(n_out, k, k, g_in)}")
+    taps = bases * k * k * n_in
     if taps >= 1 << 24:  # past this, float32 sums stop being exact
-        raise ShapeError(f"{k}x{k}x{n_in} taps exceed the exact float32 range")
+        raise ShapeError(f"{bases}x{k}x{k}x{n_in} taps exceed the exact float32 range")
     padded = padding != "none"
-    pad_bit = 1 if padding == "same1" else 0
     oh, ow = conv_out_hw(x.height, x.width, k, stride, padded)
     p = (k - 1) // 2 if padded else 0
+    s, r = stride, (k - 1) // stride  # a window spans 1 + r rows (and columns) of a phase
+    wq, n_ph, t_max = ow + r, min(s, k), -(-k // s)
 
-    # 0/1 lanes -> -1/+1: the (H, W, n_in) map at once, the (n_out, k, k, n_in)
-    # weights one tap at a time, so only one tap of them is held as float32
-    xb = np.multiply(unpack_lanes(_padded_words(x, p, pad_bit).transpose(1, 2, 0), n_in),
-                     2, dtype=np.float32)
-    xb -= 1
-    wb = unpack_lanes(weights, n_in)
-    rows, cols = stride * (oh - 1) + 1, stride * (ow - 1) + 1
-    dot = np.zeros((n_out, oh * ow), dtype=np.float32)
-    for u in range(k):
-        for v in range(k):
-            w_tap = np.multiply(wb[:, u, v], 2, dtype=np.float32)
-            w_tap -= 1
-            tap = xb[u:u + rows:stride, v:v + cols:stride].reshape(oh * ow, n_in)
-            dot += w_tap @ tap.T
-    acc = (dot.astype(np.int32) + taps) >> 1
-    return IntTensor(n_out, oh, ow, acc.reshape(n_out, oh, ow))
+    # -1/+1 phase maps holding the pad value off the map; r spare entries at
+    # the end let the last output row's shifted slices run past it
+    phases = np.full((n_ph, n_ph, n_in, (oh + r) * wq + r), 1 if padding == "same1" else -1,
+                     dtype=np.float32)
+    lanes = _bipolar_lanes(x.words.transpose(1, 2, 0), n_in)
+    for a in range(n_ph):
+        for b in range(n_ph):
+            ya, xb = (a - p) % s, (b - p) % s  # first map row and column of phase (a, b)
+            src = lanes[ya::s, xb::s].transpose(2, 0, 1)
+            dst = phases[a, b, :, :(oh + r) * wq].reshape(n_in, oh + r, wq)
+            dst = dst[:, (ya + p) // s:, (xb + p) // s:]
+            np.copyto(dst[:, :src.shape[1], :src.shape[2]], src[:, :dst.shape[1], :dst.shape[2]])
+    del lanes
+
+    # Output blocks of m channels by `chunk` rows; their weights, products and
+    # sums reuse buffers sized by _PRODUCT_CAP.  Blocks of all rows convert
+    # their weights once and are taken unless their GEMMs get short (M < 64).
+    m = max(1, min(n_out, _PRODUCT_CAP // (t_max * n_in)))
+    if (m_whole := _PRODUCT_CAP // (t_max * (oh * wq + r))) * t_max >= 64:
+        m = min(m, m_whole)
+    chunk = max(1, min(oh, _PRODUCT_CAP // (t_max * m * wq)))
+    w_buf = np.empty(t_max * m * n_in, dtype=np.float32)
+    prod = np.empty(t_max * m * (chunk * wq + r), dtype=np.float32)
+    acc = np.empty((m, chunk * wq), dtype=np.float32)
+    sums = np.empty((n_out, oh, ow), dtype=np.int32)
+    kernel_rows = [(base, u, b, len(range(b, k, s)))  # (base, kernel row, phase column, taps)
+                   for base in range(bases) for u in range(k) for b in range(n_ph)]
+    for o0 in range(0, n_out, m):
+        w_pm = _bipolar_lanes(weights[:, o0:o0 + m], n_in)  # (bases, mo, k, k, n_in)
+        for y0 in range(0, oh, chunk):
+            block = sums[o0:o0 + m, y0:y0 + chunk]
+            mo, rows = block.shape[:2]
+            n = rows * wq
+            dot = acc[:mo, :n]
+            dot.fill(0)
+            for base, u, b, t in kernel_rows:
+                lo = (y0 + u // s) * wq
+                w_row = w_buf[:t * mo * n_in].reshape(t, mo, n_in)
+                np.copyto(w_row, w_pm[base, :, u, b::s].transpose(1, 0, 2))
+                out = prod[:t * mo * (n + t - 1)].reshape(t * mo, n + t - 1)
+                np.matmul(w_row.reshape(t * mo, n_in), phases[u % s, b, :, lo:lo + n + t - 1],
+                          out=out)
+                for dv in range(t):
+                    dot += out[dv * mo:(dv + 1) * mo, dv:dv + n]
+            np.add(dot.reshape(mo, rows, wq)[:, :, :ow], taps, out=block, casting="unsafe")
+    sums >>= 1
+    return IntTensor(n_out, oh, ow, sums)
+
+
+def _compare_bits(values: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """(C, H, W) bool: S >= T, or S < T on flipped channels."""
+    bits = values >= t[:, None, None]
+    bits ^= flip[:, None, None]
+    return bits
 
 
 def threshold_binarize(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
     """Re-binarize integer sums: bit = (S >= T), or (S < T) on flipped channels."""
     if sums.channels != len(th):
         raise ShapeError(f"{sums.channels} channels vs {len(th)} thresholds")
-    t = th.t[:, None, None]
-    ge = sums.values >= t
-    bits = np.where(th.flip[:, None, None], ~ge, ge)
-    return BinaryTensor.from_bits(bits.astype(np.uint8))
+    return BinaryTensor.from_bits(_compare_bits(sums.values, th.t, th.flip))
 
 
 def binary_maxpool(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
@@ -219,11 +257,12 @@ def binary_maxpool(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
     OR of the four bits equals binarizing the real-domain window maximum.
     Odd trailing rows/columns are truncated.
     """
-    bits = threshold_binarize(sums, th).to_bits()
+    if sums.channels != len(th):
+        raise ShapeError(f"{sums.channels} channels vs {len(th)} thresholds")
     ph, pw = sums.height // 2, sums.width // 2
     if ph == 0 or pw == 0:
         raise ShapeError(f"cannot 2x2-pool a {sums.height}x{sums.width} map")
-    b = bits[:, : 2 * ph, : 2 * pw]
+    b = _compare_bits(sums.values[:, : 2 * ph, : 2 * pw], th.t, th.flip)
     pooled = b[:, 0::2, 0::2] | b[:, 0::2, 1::2] | b[:, 1::2, 0::2] | b[:, 1::2, 1::2]
     return BinaryTensor.from_bits(pooled)
 
@@ -242,10 +281,7 @@ def avg_pool_threshold(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
         raise ShapeError(f"cannot 2x2-pool a {sums.height}x{sums.width} map")
     v = sums.values[:, : 2 * ph, : 2 * pw].astype(np.int64)
     s4 = v[:, 0::2, 0::2] + v[:, 0::2, 1::2] + v[:, 1::2, 0::2] + v[:, 1::2, 1::2]
-    t = th.t_pool[:, None, None]
-    ge = s4 >= t
-    bits = np.where(th.flip[:, None, None], ~ge, ge)
-    return BinaryTensor.from_bits(bits.astype(np.uint8))
+    return BinaryTensor.from_bits(_compare_bits(s4, th.t_pool, th.flip))
 
 
 def residual_accumulate(
@@ -302,15 +338,9 @@ def layer_forward(
         x = x.flatten()
     if x.channels != layer.n_in:
         raise ShapeError(f"layer {layer.name}: input has {x.channels} channels, expected {layer.n_in}")
-    weights = np.asarray(weights, dtype=np.uint16)
-    if weights.ndim == 4:
-        weights = weights[None]
-    sums = None
-    for b in range(layer.bases):
-        part = xnor_conv(x, weights[b], layer.k, layer.stride, layer.padding)
-        sums = part if sums is None else IntTensor(
-            part.channels, part.height, part.width, sums.values + part.values
-        )
+    if (len(weights) if np.ndim(weights) == 5 else 1) != layer.bases:
+        raise ShapeError(f"layer {layer.name}: {np.shape(weights)} weights for {layer.bases} bases")
+    sums = xnor_conv(x, weights, layer.k, layer.stride, layer.padding)
     sums.check_range(acc_bits, acc_mode)
     if residual is not None:
         if isinstance(residual, IntTensor):

@@ -27,13 +27,14 @@ def unpack_bipolar(t: BinaryTensor) -> np.ndarray:
 
 
 def unpack_weights_bipolar(packed: np.ndarray, n_in: int) -> np.ndarray:
-    """Packed (n_out, k, k, groups) words -> (n_out, n_in, k, k) of +/-1."""
+    """Packed (n_out, k, k, groups) words -> (n_out, n_in, k, k) of +/-1,
+    a view of (k, k, n_out, n_in) data, so each tap is one contiguous block."""
     packed = np.asarray(packed, dtype=np.uint16)
     n_out, k, _, g = packed.shape
-    bytes_ = packed.reshape(n_out, k, k, g, 1).view(np.uint8)
-    bits = np.unpackbits(bytes_, axis=4, bitorder="little")  # (n_out,k,k,g,16)
-    lanes = _to_bipolar(bits.reshape(n_out, k, k, g * LANES))[:, :, :, :n_in]
-    return np.moveaxis(lanes, 3, 1)
+    bytes_ = packed.transpose(1, 2, 0, 3).reshape(k, k, n_out, g, 1).view(np.uint8)
+    bits = np.unpackbits(bytes_, axis=4, bitorder="little")  # (k,k,n_out,g,16)
+    lanes = _to_bipolar(bits.reshape(k, k, n_out, g * LANES))[:, :, :, :n_in]
+    return lanes.transpose(2, 3, 0, 1)
 
 
 def _to_bipolar(bits: np.ndarray) -> np.ndarray:
@@ -58,15 +59,22 @@ def bipolar_conv(
         p = (k - 1) // 2
         fill = 1 if padding == "same1" else -1
         x = np.pad(x, ((0, 0), (p, p), (p, p)), constant_values=fill)
-    xf = x.astype(np.float32)
     oh = (x.shape[1] - k) // stride + 1
     ow = (x.shape[2] - k) // stride + 1
+    # one buffer each for the tap copy, the tap weights and the product
+    tap = np.empty((n_in, oh, ow), dtype=np.float32)
+    w_tap = np.empty((n_out, n_in), dtype=np.float32)
+    prod = np.empty((n_out, oh * ow), dtype=np.float32)
     acc = np.zeros((n_out, oh * ow), dtype=np.float32)
+    w_taps = w.transpose(2, 3, 0, 1)  # (k, k, n_out, n_in)
     for u in range(k):
         for v in range(k):
-            tap = xf[:, u:u + stride * (oh - 1) + 1:stride, v:v + stride * (ow - 1) + 1:stride]
-            acc += w[:, :, u, v].astype(np.float32) @ tap.reshape(n_in, oh * ow)
-    return acc.astype(np.int32).reshape(n_out, oh, ow)
+            np.copyto(tap, x[:, u::stride, v::stride][:, :oh, :ow])
+            np.copyto(w_tap, w_taps[u, v])
+            acc += np.matmul(w_tap, tap.reshape(n_in, oh * ow), out=prod)
+    sums = prod.view(np.int32)  # the product's buffer takes the int32 result
+    np.copyto(sums, acc, casting="unsafe")
+    return sums.reshape(n_out, oh, ow)
 
 
 def to_binary_sum(s_bip: np.ndarray, taps: int) -> np.ndarray:
@@ -113,9 +121,13 @@ def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
         w_all = np.asarray(weights[layer.name], dtype=np.uint16)
         if w_all.ndim == 4:
             w_all = w_all[None]
+        # a whole layer's unpacked weights (2.4 MB at 512x512x3x3) set a frame's peak memory
+        blk = max(1, (1 << 19) // (layer.k * layer.k * layer.n_in))
         for b in range(layer.bases):
-            wb = unpack_weights_bipolar(w_all[b], layer.n_in)
-            part = to_binary_sum(bipolar_conv(feed, wb, layer.stride, layer.padding), taps)
+            part = to_binary_sum(np.concatenate([
+                bipolar_conv(feed, unpack_weights_bipolar(w_all[b][o:o + blk], layer.n_in),
+                             layer.stride, layer.padding)
+                for o in range(0, layer.n_out, blk)]), taps)
             sums = part if sums is None else sums + part
         # the accumulator width applies to the conv sum, then to the residual add
         sums = _accumulate(sums, net)

@@ -110,14 +110,9 @@ def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
     # Bit-true sums of every block at once.  Popcount partial sums are
     # non-negative, so the accumulator only grows over the blocks: one range
     # check (or clip) of the total equals one after every block.
-    w_all = np.asarray(weights, dtype=np.uint16)
-    if w_all.ndim == 4:
-        w_all = w_all[None]
-    slab = _build_slab(feed, l, win)
-    plane = xnor_conv(slab, w_all[0], k, s, padding="none").values
-    for base in range(1, l.bases):
-        plane += xnor_conv(slab, w_all[base], k, s, padding="none").values
-    sums = IntTensor(l.n_out, o_h, o_w, plane).check_range(
+    if (len(weights) if np.ndim(weights) == 5 else 1) != l.bases:
+        raise ShapeError(f"layer {l.name}: {np.shape(weights)} weights for {l.bases} bases")
+    sums = xnor_conv(_build_slab(feed, l, win), weights, k, s, padding="none").check_range(
         net.acc_bits, net.acc_mode, f"layer {l.name}: partial sum")
 
     # Counters of the block nest in closed form; sum(out_tiles) == n_out.

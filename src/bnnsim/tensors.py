@@ -64,21 +64,23 @@ class BinaryTensor:
             words = np.asarray(words, dtype=np.uint16)
             if words.shape != (g, height, width):
                 raise ShapeError(f"words shape {words.shape} != {(g, height, width)}")
+            # trailing bits of the last group must be zero: clear them in a copy
+            mask = lane_mask(channels, g - 1)
+            if mask < 0xFFFF and words[-1].max() > mask:
+                words = words.copy()
+                words[-1] &= mask
             self.words = words
-            # trailing bits of the last group must stay zero
-            self.words[-1] &= lane_mask(channels, g - 1)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "BinaryTensor":
-        """Pack a (C, H, W) array of 0/1 bits."""
+        """Pack a (C, H, W) array of 0/1 bits (only the low bit counts)."""
         bits = np.asarray(bits)
         c, h, w = bits.shape
         g = n_groups(c)
-        lanes = np.zeros((g * LANES, h, w), dtype=np.uint8)
-        lanes[:c] = bits.astype(np.uint8) & 1
-        packed = np.packbits(lanes.reshape(g, LANES, h, w), axis=1, bitorder="little")
-        words = packed[:, 0].astype(np.uint16) | (packed[:, 1].astype(np.uint16) << 8)
-        return cls(c, h, w, words)
+        lanes = np.zeros((h, w, g * LANES), dtype=np.uint8)  # channels last
+        np.bitwise_and(bits.transpose(1, 2, 0), np.uint8(1), out=lanes[..., :c], casting="unsafe")
+        words = np.packbits(lanes, axis=-1, bitorder="little").view("<u2")
+        return cls(c, h, w, np.ascontiguousarray(words.transpose(2, 0, 1), dtype=np.uint16))
 
     def to_bits(self) -> np.ndarray:
         """Unpack to a (C, H, W) uint8 array of 0/1 bits."""

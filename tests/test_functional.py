@@ -6,9 +6,12 @@ bipolar brute-force correlation for convolutions, and integer
 max/average pooling for the boolean reductions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bnnsim import functional
 from bnnsim.errors import DegenerateChannel, ShapeError
 from bnnsim.functional import (
     BatchNorm,
@@ -175,6 +178,84 @@ def test_conv_rejects_inexact_tap_count(k, n_in):
     w = np.zeros((1, k, k, n_groups(n_in)), dtype=np.uint16)
     with pytest.raises(ShapeError, match="exact float32"):
         xnor_conv(x, w, k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_conv_stride2_unequal_phases(k):
+    # odd padded sizes give stride phases of unequal size, even ones equal
+    rng = np.random.default_rng(40 + k)
+    for h, w in [(k + 3, k + 4), (k + 4, k + 3), (k + 5, k + 5), (k + 6, k + 6)]:
+        for padding in ("same0", "same1", "none"):
+            x, wts = random_operands(rng, 19, h, w, 3, k)
+            got = xnor_conv(x, wts, k, 2, padding)
+            assert np.array_equal(got.values, per_bit_conv(x, wts, k, 2, padding)), (h, w, padding)
+
+
+def test_conv_tall_map_spans_row_chunks():
+    # 16 x 300 x 8 at k=3: one block's products exceed _PRODUCT_CAP, so the
+    # 300 output rows run in chunks, the last one short
+    assert 3 * 16 * 300 * 10 > functional._PRODUCT_CAP
+    rng = np.random.default_rng(12)
+    x, w = random_operands(rng, 16, 300, 8, 16, 3)
+    assert np.array_equal(xnor_conv(x, w, 3).values, per_bit_conv(x, w, 3, 1, "same0"))
+
+
+@pytest.mark.parametrize("k, stride, bases",
+                         [(1, 1, 1), (3, 1, 2), (3, 2, 1), (5, 2, 3), (7, 1, 1)])
+def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
+    # a tiny cap splits every call into short output-channel blocks and row
+    # chunks, each with a short remainder
+    monkeypatch.setattr(functional, "_PRODUCT_CAP", 200)
+    rng = np.random.default_rng(10 * k + stride + bases)
+    x, w1 = random_operands(rng, 17, 11, 9, 5 * bases, k)
+    w = w1.reshape(bases, 5, k, k, -1)
+    want = sum(per_bit_conv(x, w[b], k, stride, "same1") for b in range(bases))
+    assert np.array_equal(xnor_conv(x, w, k, stride, "same1").values, want)
+
+
+@pytest.mark.parametrize("n_out", [1, 5, 19, 100])
+def test_conv_n_out_not_multiple_of_16(n_out):
+    # 100 x 512 channels: the weights of one kernel row exceed _PRODUCT_CAP,
+    # so the output channels run in blocks, the last one short
+    rng = np.random.default_rng(n_out)
+    x, w = random_operands(rng, 512, 3, 3, n_out, 3)
+    assert np.array_equal(xnor_conv(x, w, 3).values, per_bit_conv(x, w, 3, 1, "same0"))
+
+
+def test_conv_three_bases_equal_sum_of_single_bases():
+    rng = np.random.default_rng(3)
+    x, w = random_operands(rng, 37, 7, 6, 3 * 4, 3)
+    w = w.reshape(3, 4, 3, 3, -1)
+    got = xnor_conv(x, w, 3, padding="same1")
+    want = sum(xnor_conv(x, w[b], 3, padding="same1").values for b in range(3))
+    assert np.array_equal(got.values, want)
+
+
+def test_conv_rejects_inexact_multibase_tap_count():
+    # 2 bases of 7x7x171197 taps pass the one-base bound but not the total
+    n_in = -(-(1 << 24) // 98)
+    x = BinaryTensor(n_in, 1, 1)
+    w = np.zeros((2, 1, 7, 7, n_groups(n_in)), dtype=np.uint16)
+    with pytest.raises(ShapeError, match="exact float32"):
+        xnor_conv(x, w, 7)
+
+
+@pytest.mark.parametrize("n_in, n_out, h, w, budget_mb", [
+    (32, 32, 400, 64, 15.8),   # sed c1
+    (512, 512, 7, 7, 4.6),     # ResNet-18 stage 4
+])
+def test_conv_traced_memory_budget(n_in, n_out, h, w, budget_mb):
+    # under the peak of the previous tap-GEMM kernel on the same call
+    # (16.5 MB and 4.9 MB with numpy 2.4)
+    rng = np.random.default_rng(0)
+    x, wts = random_operands(rng, n_in, h, w, n_out, 3)
+    tracemalloc.start()
+    try:
+        xnor_conv(x, wts, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget_mb * 1e6
 
 
 def test_weight_unpack_roundtrip():

@@ -50,6 +50,15 @@ def test_trailing_bits_zero():
         assert np.all((t.words[-1] & ~np.uint16(mask)) == 0)
 
 
+def test_masking_leaves_callers_words_alone():
+    w = np.full((2, 1, 1), 0xFFFF, dtype=np.uint16)
+    t = BinaryTensor(17, 1, 1, w)
+    assert w[1, 0, 0] == 0xFFFF and t.words[1, 0, 0] == 1
+    # words with clean trailing lanes are kept, not copied
+    clean = np.array([[[0xFFFF]], [[1]]], dtype=np.uint16)
+    assert BinaryTensor(17, 1, 1, clean).words is clean
+
+
 def test_pack_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch
+from bnnsim.errors import ShapeError
 from bnnsim.functional import ThresholdVector, run_network_reference
 from bnnsim.netio import builtin_network, random_input, random_thresholds, random_weights
 from bnnsim.network import LayerConfig, NetworkDesc
@@ -156,3 +157,17 @@ def test_random_thresholds_centre_multibase_sums():
     unflipped = bits[3][~flip]
     assert unflipped.any() and not unflipped.all()
     assert not np.array_equal(bits[2], bits[3])
+
+
+def test_weights_must_hold_every_base():
+    # the kernel sums whatever bases the weights hold, so one base's weights
+    # on a 3-base layer must be rejected, not run as a 1-base layer
+    net = net_of(16, 6, 6, LayerConfig(name="a", k=3, n_out=16, bases=3))
+    rng = np.random.default_rng(0)
+    random_thresholds(net, rng)
+    one_base = {"a": random_weights(net, rng)["a"][0]}
+    x = random_input(net, rng)
+    with pytest.raises(ShapeError, match="3 bases"):
+        run_network_reference(net, x, one_base)
+    with pytest.raises(ShapeError, match="3 bases"):
+        execute(plan_network(net, default_arch()), net, x, one_base, default_arch())
