@@ -35,10 +35,7 @@ class MemoryGeometry:
     fmm_bank_width_bits: int = 32
     fmm_src_banks: int = 73       # half A
     fmm_snk_banks: int = 73       # half B
-    pb_banks: int = 2
     pb_bytes: int = 3584          # bank width for the PB is not tied to 1 kB
-    rowbank_count: int = 7
-    rowbank_bytes: int = 512
     io_bits_per_cycle: int = 16   # off-chip streaming bandwidth at core clock
 
     @property
@@ -219,7 +216,13 @@ def parse_arch(text: str, path: str = "<string>") -> ArchConfig:
         raise FormatError(str(e), path) from e
 
 
+# fields no model read; files that still set them parse and ignore them
+_RETIRED_KEYS = ("pb_banks", "rowbank_count", "rowbank_bytes", "mem_subfractions")
+
+
 def _apply_key(obj, key: str, val: str) -> None:
+    if key in _RETIRED_KEYS:
+        return
     if not hasattr(obj, key):
         raise AttributeError(f"no such field {key!r}")
     current = getattr(obj, key)
@@ -237,8 +240,6 @@ def _apply_key(obj, key: str, val: str) -> None:
             name, frac = item.split(":")
             entries[name.strip()] = float(frac)
         setattr(obj, key, entries)
-    elif key == "mem_subfractions":
-        setattr(obj, key, tuple(float(v) for v in val.split(",")))
     elif key == "active_fmm_banks":
         setattr(obj, key, None if val == "auto" else int(val))
     elif isinstance(current, bool):
@@ -268,10 +269,7 @@ def format_arch(cfg: ArchConfig) -> str:
         f"fmm_bank_width_bits = {m.fmm_bank_width_bits}",
         f"fmm_src_banks = {m.fmm_src_banks}",
         f"fmm_snk_banks = {m.fmm_snk_banks}",
-        f"pb_banks = {m.pb_banks}",
         f"pb_bytes = {m.pb_bytes}",
-        f"rowbank_count = {m.rowbank_count}",
-        f"rowbank_bytes = {m.rowbank_bytes}",
         f"io_bits_per_cycle = {m.io_bits_per_cycle}",
         "",
         "[operating]",
@@ -285,7 +283,6 @@ def format_arch(cfg: ArchConfig) -> str:
         f"gated_banks = {cal.gated_banks}",
         f"full_banks = {cal.full_banks}",
         f"breakdown = {brk}",
-        "mem_subfractions = " + ", ".join(str(v) for v in cal.mem_subfractions),
         f"io_pj_per_bit = {cal.io_pj_per_bit}",
     ]) + "\n"
 

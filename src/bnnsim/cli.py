@@ -3,7 +3,6 @@
     bnnsim verify <net> [--seed N] [--trials N] [--arch FILE]
     bnnsim run <net> [--weights FILE] [--input FILE] [--arch FILE]
                      [--seed N] [--out FILE] [--trace FILE]
-                     [--trace-detail segment|full]
     bnnsim sweep [--kernel 1,3,5,7] [--banks 4..48] [--arch FILE] [--out FILE]
     bnnsim report <runfiles...> [--out FILE]
 
@@ -112,7 +111,7 @@ def cmd_run(args) -> int:
     print(text, end="")
     if args.trace:
         with open(args.trace, "w") as fh:
-            for line in plan.dump_lines(detail=args.trace_detail):
+            for line in plan.dump_lines():
                 fh.write(line + "\n")
     return 0
 
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=1)
     r.add_argument("--out", help="write the report to a file")
     r.add_argument("--trace", help="write the schedule trace to a file")
-    r.add_argument("--trace-detail", default="segment", choices=["segment", "full"])
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("sweep", help="ideal-layer grid: throughput vs efficiency")

@@ -20,6 +20,7 @@ SUPPORTED_KERNELS = (1, 3, 5, 7)
 PADDINGS = ("same0", "same1", "none")
 POOLS = ("none", "max", "avg")
 RESIDUAL_MODES = ("int", "binary")
+ACC_MODES = ("error", "saturate")
 
 
 @dataclass
@@ -88,6 +89,10 @@ class NetworkDesc:
 
     def validate(self) -> "NetworkDesc":
         """Chain shapes through the graph and check every structural rule."""
+        if not 1 <= self.acc_bits <= 32:   # partial sums are int32
+            raise ShapeError(f"acc_bits {self.acc_bits} is outside 1..32")
+        if self.acc_mode not in ACC_MODES:
+            raise ShapeError(f"acc_mode {self.acc_mode!r} is not one of {', '.join(ACC_MODES)}")
         if not self.layers:
             return self
         names = set()

@@ -33,9 +33,6 @@ class CalibrationTable:
         "memory": 0.561, "interconnect": 0.157, "compute": 0.176,
         "control": 0.027, "other": 0.079,
     })
-    # unlabeled split of the memory share (the source text gives four
-    # slices without naming which memory is which)
-    mem_subfractions: tuple = (0.180, 0.238, 0.127, 0.016)
     io_pj_per_bit: float = 21.0
 
     def check(self) -> "CalibrationTable":

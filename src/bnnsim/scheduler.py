@@ -8,11 +8,13 @@ streams image rows past it, and accumulates partial sums near memory.
 counters from it in closed form and the event stream walks it.  The
 feature-map memory is split in two halves whose source/sink roles swap
 after every layer.  Layers whose maps overflow a half are executed in
-vertical column stripes with a recomputed halo so stitching is exact.
+vertical column stripes with a recomputed halo so stitching is exact; a
+uniform-cost search over layer intervals picks which layers share stripes.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -153,6 +155,7 @@ class LayerPlan:
     direction: str
     window: TileWindow
     nest: LoopNest
+    feed: str = INPUT_MAP      # record name of the map the layer reads
     src_bytes: int = 0
     snk_bytes: int = 0
     working_bytes: int = 0
@@ -175,12 +178,12 @@ class Schedule:
     tile_plan: TilePlan
     plans: list
 
-    def events(self, detail: str = "segment"):
+    def events(self):
         for plan in self.plans:
-            yield from _layer_events(plan, detail)
+            yield from _layer_events(plan)
 
-    def dump_lines(self, detail: str = "segment"):
-        for ev in self.events(detail):
+    def dump_lines(self):
+        for ev in self.events():
             yield ev.line()
 
 
@@ -215,9 +218,9 @@ class NetworkPlan:
     exec_order: list        # LayerPlans in execution order (tile-major in groups)
     fit: FitReport
 
-    def dump_lines(self, detail: str = "segment"):
+    def dump_lines(self):
         for sched in self.schedules:
-            yield from sched.dump_lines(detail)
+            yield from sched.dump_lines()
 
 
 # ---------------------------------------------------------------------------
@@ -236,40 +239,36 @@ class _Record:
     banks: tuple = (0, 0)
 
 
-def _build_records(net: NetworkDesc, binary: list[LayerConfig]) -> list[_Record]:
-    name_to_idx = {l.name: i for i, l in enumerate(binary)}
+def _reads(binary: list[LayerConfig]) -> list[tuple[str, str | None]]:
+    """(feed map, residual source map) of each binary layer, as record names.
+
+    A layer reads its `input=` layer, else the layer before it, else the
+    network input; a residual from the external prefix reads the network
+    input."""
+    names = {l.name for l in binary}
+    return [(l.input_layer or (binary[i - 1].name if i else INPUT_MAP),
+             None if l.residual is None else l.residual if l.residual in names else INPUT_MAP)
+            for i, l in enumerate(binary)]
+
+
+def _build_records(net: NetworkDesc, binary: list[LayerConfig], reads) -> dict[str, _Record]:
+    """Every map and parked int plane, live from its producer to its last reader."""
     c, h, w = net.sim_input_dims()
-    records = [_Record(INPUT_MAP, "map", 0, map_bytes(c, h, w), -1, 0 if binary else -1)]
-
-    def consumers_of(name: str, start: int) -> list[int]:
-        out = []
-        for j in range(start, len(binary)):
-            l = binary[j]
-            feeds = l.input_layer if l.input_layer is not None else (
-                binary[j - 1].name if j > 0 else INPUT_MAP)
-            if feeds == name:
-                out.append(j)
-            if l.residual == name and l.residual_mode == "binary":
-                out.append(j)
-        return out
-
-    # residual edges pointing at the external prefix resolve to the input map
-    for j, l in enumerate(binary):
-        if l.residual is not None and l.residual not in name_to_idx:
-            records[0].last_use = max(records[0].last_use, j)
-
+    records = {INPUT_MAP: _Record(INPUT_MAP, "map", 0, map_bytes(c, h, w), -1, 0)}
     for i, l in enumerate(binary):
-        cons = consumers_of(l.name, i + 1)
-        rec = _Record(l.name, "map", 1 - i % 2,
-                      map_bytes(l.n_out, l.pooled_h, l.pooled_w), i,
-                      max(cons) if cons else i)
-        records.append(rec)
-        int_consumers = [j for j in range(i + 1, len(binary))
-                         if binary[j].residual == l.name and binary[j].residual_mode == "int"]
-        if int_consumers:
-            records.append(_Record(l.name + "#int", "plane", 1 - i % 2,
-                                   plane_bytes(l.n_out, l.out_h, l.out_w), i,
-                                   max(int_consumers)))
+        records[l.name] = _Record(l.name, "map", 1 - i % 2,
+                                  map_bytes(l.n_out, l.pooled_h, l.pooled_w), i, i)
+    for j, (l, (feed, res)) in enumerate(zip(binary, reads)):
+        records[feed].last_use = j
+        if res is not None and l.residual_mode == "int":
+            src = records[res]
+            s = binary[src.producer]
+            plane = records.setdefault(res + "#int", _Record(
+                res + "#int", "plane", src.half, plane_bytes(s.n_out, s.out_h, s.out_w),
+                src.producer, j))
+            plane.last_use = j
+        elif res is not None:
+            records[res].last_use = j
     return records
 
 
@@ -277,7 +276,7 @@ def _alive(rec: _Record, i: int) -> bool:
     return rec.producer <= i <= rec.last_use
 
 
-def _half_bytes(records: list[_Record], i: int) -> tuple[int, int]:
+def _half_bytes(records, i: int) -> tuple[int, int]:
     tot = [0, 0]
     for rec in records:
         if _alive(rec, i):
@@ -313,7 +312,7 @@ def _assign_addresses(records: list[_Record], arch: ArchConfig, n_layers: int) -
 # spatial tiling
 # ---------------------------------------------------------------------------
 
-def _group_windows(binary: list[LayerConfig], g0: int, g1: int,
+def _group_windows(binary: list[LayerConfig], reads, g0: int, g1: int,
                    out_range: tuple[int, int],
                    prev_cover: dict | None = None,
                    extend_to_full: bool = False) -> tuple[dict, tuple[int, int]]:
@@ -323,7 +322,9 @@ def _group_windows(binary: list[LayerConfig], g0: int, g1: int,
     tiles; each window is widened down to it so the stitched maps have no
     gaps (strided or pool-truncated consumers would otherwise skip
     columns).  The final tile sets `extend_to_full` so every in-group map
-    is complete after stitching."""
+    is complete after stitching.  In-group maps and a leading group's
+    streamed input are read as column slices; every other map the group
+    reads was produced before it and is resident and whole."""
     need: dict[str, list[int]] = {}
     prev_cover = prev_cover if prev_cover is not None else {}
 
@@ -332,11 +333,11 @@ def _group_windows(binary: list[LayerConfig], g0: int, g1: int,
         cur[0] = min(cur[0], lo)
         cur[1] = max(cur[1], hi)
 
-    group = binary[g0:g1 + 1]
-    widen(group[-1].name, *out_range)
+    sliced = {l.name for l in binary[g0:g1 + 1]} | ({INPUT_MAP} if g0 == 0 else set())
+    widen(binary[g1].name, *out_range)
     windows: dict[str, TileWindow] = {}
-    for pos in range(len(group) - 1, -1, -1):
-        l = group[pos]
+    for j in range(g1, g0 - 1, -1):
+        l = binary[j]
         # a layer nothing in-group consumes still computes its core share
         plo, phi = need.get(l.name, list(out_range if l.pooled_w >= out_range[1] else (0, l.pooled_w)))
         plo = min(plo, prev_cover.get(l.name, plo))
@@ -350,21 +351,11 @@ def _group_windows(binary: list[LayerConfig], g0: int, g1: int,
         in_lo = max(0, clo * l.stride - p)
         in_hi = min(l.in_w, (chi - 1) * l.stride - p + l.k)
         windows[l.name] = TileWindow(in_lo, in_hi, clo, chi, plo, phi)
-        if l.input_layer is not None and l.input_layer in {x.name for x in group[:pos]}:
-            feed = l.input_layer
-        elif l.input_layer is not None:
-            raise FitError(f"layer {l.name}: tiled group input rerouted outside the group")
-        else:
-            feed = group[pos - 1].name if pos > 0 else INPUT_MAP
-        widen(feed, in_lo, in_hi)
-        if l.residual is not None:
-            src = l.residual
-            if src in {x.name for x in group[:pos]}:
-                widen(src, clo, chi)
-            elif src in {x.name for x in binary[:g0]}:
-                pass  # source map produced before the group stays resident
-            elif g0 == 0:
-                widen(INPUT_MAP, clo, chi)  # residual slice of the streamed input
+        feed, res = reads[j]
+        if feed in sliced:
+            widen(feed, in_lo, in_hi)
+        if res in sliced:
+            widen(res, clo, chi)
     for name, win in windows.items():
         prev_cover[name] = max(prev_cover.get(name, 0), win.pout_hi)
     return windows, tuple(need.get(INPUT_MAP, (0, 0)))
@@ -381,100 +372,144 @@ def _tile_cores(width: int, n: int) -> list[tuple[int, int]]:
     return cores
 
 
-def _group_feasible(net, arch, binary, records, g0: int, g1: int, n: int):
-    """Try to tile layers [g0..g1] into n column stripes; return the per-tile
-    windows or None."""
-    last = binary[g1]
-    w_out = last.pooled_w
-    if n > w_out:
-        return None
-    # only the group's last layer may feed layers beyond the group; other
-    # in-group maps exist as tile slices only
-    for j in range(g0, g1):
-        name = binary[j].name
-        for x in range(g1 + 1, len(binary)):
-            l = binary[x]
-            feeds = l.input_layer if l.input_layer is not None else binary[x - 1].name
-            if feeds == name or l.residual == name:
-                return None
-    group_names = {l.name for l in binary[g0:g1 + 1]}
-    cores = _tile_cores(w_out, n)
-    tiles = []
-    cover: dict = {}
-    for t, core in enumerate(cores):
-        try:
-            windows, in_range = _group_windows(binary, g0, g1, core, cover,
-                                               extend_to_full=t == n - 1)
-        except FitError:
-            return None
-        tiles.append((windows, in_range))
+def _slice_bytes(net, binary, g0: int, g1: int, tile) -> dict[str, int]:
+    """Bytes of the maps that exist only as one tile's column slice while
+    group [g0..g1] runs: in-group maps but the last, their parked int
+    planes, and a leading group's streamed input."""
+    windows, in_range = tile
+    out = {}
+    if g0 == 0:
+        c, h, _ = net.sim_input_dims()
+        out[INPUT_MAP] = map_bytes(c, h, in_range[1] - in_range[0])
+    for l in binary[g0:g1]:
+        win = windows[l.name]
+        out[l.name] = map_bytes(l.n_out, l.pooled_h, win.pout_w)
+        out[l.name + "#int"] = plane_bytes(l.n_out, l.out_h, win.out_w)
+    return out
 
-    # byte feasibility per (tile, layer): per-tile slices of in-group maps
-    # plus every resident map produced before the group (the streamed input
-    # of a leading group is charged as a slice instead)
-    outer_feed_bytes = [0, 0]
-    for rec in records:
-        if rec.producer < g0 and rec.last_use >= g0 and not (g0 == 0 and rec.name == INPUT_MAP):
-            outer_feed_bytes[rec.half] += rec.bytes
-    # last in-group layer that reads the group input map
-    in_last = g0
-    for j in range(g0, g1 + 1):
-        l = binary[j]
-        if l.residual is not None and l.residual not in group_names and \
-                l.residual_mode == "binary" and l.residual not in {x.name for x in binary[:g0]}:
-            in_last = max(in_last, j)
+
+def _within(halves, caps: tuple[int, int]) -> bool:
+    return halves[0] <= caps[0] and halves[1] <= caps[1]
+
+
+def _outer_bytes(records: dict, g0: int) -> list[int]:
+    """Bytes per half of the maps a group starting at g0 holds whole for
+    every tile: those produced before it and read in or after it, but for
+    a leading group's streamed input."""
+    halves = [0, 0]
+    for rec in records.values():
+        if rec.producer < g0 <= rec.last_use and not (g0 == 0 and rec.name == INPUT_MAP):
+            halves[rec.half] += rec.bytes
+    return halves
+
+
+def _group_feasible(net, arch, binary, reads, records, g0: int, g1: int, n: int):
+    """Try to tile layers [g0..g1] into n column stripes; return the per-tile
+    (windows, input range) or None.  Only the group's last layer may feed
+    layers after the group; the search picks no other groups."""
+    last = binary[g1]
+    caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
+    cores = _tile_cores(last.pooled_w, n)
+    cover: dict = {}
+    tiles = [_group_windows(binary, reads, g0, g1, core, cover, extend_to_full=t == n - 1)
+             for t, core in enumerate(cores)]
+    slices = [[(records[name], b) for name, b in _slice_bytes(net, binary, g0, g1, tile).items()
+               if name in records] for tile in tiles]
+    outer = _outer_bytes(records, g0)
     # a group ending the network streams its result off-chip per tile;
     # otherwise the stitched output accumulates on-chip for the next layer
     group_is_tail = g1 == len(binary) - 1
     stitched = 0
-    for t, (windows, in_range) in enumerate(tiles):
-        core_bytes = map_bytes(last.n_out, last.pooled_h, cores[t][1] - cores[t][0])
+    for (lo, hi), tile_slices in zip(cores, slices):
+        core_bytes = map_bytes(last.n_out, last.pooled_h, hi - lo)
         stitched += core_bytes
         for j in range(g0, g1 + 1):
-            l = binary[j]
-            win = windows[l.name]
-            halves = [0, 0]
-            halves[0] += outer_feed_bytes[0]
-            halves[1] += outer_feed_bytes[1]
-            if g0 == 0 and j <= in_last:
-                # group input streams from I/O as a per-tile slice
-                c, h, _ = net.sim_input_dims()
-                halves[0] += map_bytes(c, h, in_range[1] - in_range[0])
+            halves = list(outer)
             halves[1 - g1 % 2] += core_bytes if group_is_tail else stitched
-            for jj in range(g0, g1 + 1):
-                ll = binary[jj]
-                wwin = windows[ll.name]
-                cons = _ingroup_last_use(binary, g0, g1, jj)
-                if jj <= j <= cons and jj != g1:
-                    halves[1 - jj % 2] += map_bytes(ll.n_out, ll.pooled_h, wwin.pout_w)
-            # parked int slices inside the group
-            for jj in range(g0, g1 + 1):
-                ll = binary[jj]
-                ints = [x for x in range(jj + 1, g1 + 1)
-                        if binary[x].residual == ll.name and binary[x].residual_mode == "int"]
-                if ints and jj <= j <= max(ints):
-                    wwin = windows[ll.name]
-                    halves[1 - jj % 2] += plane_bytes(ll.n_out, ll.out_h, wwin.out_w)
-            if halves[0] > arch.memory.half_bytes(0) or halves[1] > arch.memory.half_bytes(1):
+            for rec, b in tile_slices:
+                if _alive(rec, j):
+                    halves[rec.half] += b
+            if not _within(halves, caps):
                 return None
     return tiles
-
-
-def _ingroup_last_use(binary, g0, g1, j) -> int:
-    """Last in-group layer consuming layer j's output map."""
-    name = binary[j].name
-    last = j
-    for x in range(j + 1, g1 + 1):
-        l = binary[x]
-        feeds = l.input_layer if l.input_layer is not None else binary[x - 1].name
-        if feeds == name or (l.residual == name and l.residual_mode == "binary"):
-            last = x
-    return last
 
 
 # ---------------------------------------------------------------------------
 # placement and planning
 # ---------------------------------------------------------------------------
+
+def _search_groups(net, arch, binary, reads, records, fits) -> tuple[dict, list[int]]:
+    """Uniform-cost search for the tiled groups, over positions 0..L of the
+    binary layers.
+
+    From position p, a layer that fits passes at no cost, and a layer that
+    does not may be given up as untileable, at a cost above any tiling.
+    Layers [p..g1] may run as one tiled group of n column stripes, at a
+    cost of n tiles, if no layer of it but g1 feeds a layer after it.
+    Costs order as (untileable layers, tiles, tiled layers), ties going to
+    the later group start.  Groups are made and tested lazily in cost
+    order: [p..g1] at n = 2 queues [p..g1+1] at n = 2, and a failed test
+    queues the group again at n + 1, up to single-column stripes.
+    Returns ({g0: (g1, tiles)}, untileable layer indices)."""
+    n_layers = len(binary)
+    caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
+    heap = []   # (cost, -start, end, start, n); n = 0 gives up one layer
+    steps = {0: (0, 0, None)}   # position -> (start, n, tiles) of its cheapest step
+
+    def push(cost: tuple, g0: int, g1: int, n: int) -> None:
+        heapq.heappush(heap, (cost, -g0, g1, g0, n))
+
+    def expand(p: int, cost: tuple) -> None:
+        # a layer that fits passes at once: nothing queued is cheaper
+        given_up, tiles, tiled = cost
+        while p < n_layers:
+            push((given_up, tiles + 2, tiled + 1), p, p, 2)
+            if not fits[p]:
+                push((given_up + 1, tiles, tiled), p, p, 0)
+                return
+            if p + 1 in steps:
+                return
+            steps[p + 1] = (p, 0, None)
+            p += 1
+
+    expand(0, (0, 0, 0))
+    while n_layers not in steps:
+        cost, _, g1, g0, n = heapq.heappop(heap)
+        given_up, tiles, tiled = cost
+        if n == 2 and g1 + 1 < n_layers:
+            push((given_up, tiles, tiled + 1), g0, g1 + 1, 2)
+        if g1 + 1 in steps:
+            continue
+        group = None
+        if n == 2:
+            # no n helps a group whose earlier layers feed past its end, or
+            # that cannot hold its whole stitched output by the last tile
+            floor = _outer_bytes(records, g0)
+            if g1 < n_layers - 1:
+                floor[1 - g1 % 2] += records[binary[g1].name].bytes
+            if binary[g1].pooled_w < 2 or not _within(floor, caps) or any(
+                    r.last_use > g1 for r in records.values() if g0 <= r.producer < g1):
+                continue
+        if n:
+            group = _group_feasible(net, arch, binary, reads, records, g0, g1, n)
+            if group is None:
+                if n < binary[g1].pooled_w:
+                    push((given_up, tiles + 1, tiled), g0, g1, n + 1)
+                continue
+        steps[g1 + 1] = (g0, n, group)
+        expand(g1 + 1, cost)
+
+    groups, untileable = {}, []
+    p = n_layers
+    while p:
+        g0, n, group = steps[p]
+        if n:
+            groups[g0] = (p - 1, group)
+        elif not fits[g0]:
+            untileable.insert(0, g0)
+        p = g0
+    return dict(sorted(groups.items())), untileable
+
 
 def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
     arch.check()
@@ -485,93 +520,67 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
             raise FitError(f"layer {l.name}: zero-size layer")
     unsupported = [l.name for l in binary if not arch.compute.kernel_ok(l.k)]
 
-    records = _build_records(net, binary)
+    reads = _reads(binary)
+    records = _build_records(net, binary, reads)
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
 
     def layer_fit(i):
-        a, b = _half_bytes(records, i)
-        src, snk = (a, b) if i % 2 == 0 else (b, a)
-        cap_src, cap_snk = (caps[0], caps[1]) if i % 2 == 0 else (caps[1], caps[0])
-        return src, snk, src <= cap_src and snk <= cap_snk
+        halves = _half_bytes(records.values(), i)
+        return halves[i % 2], halves[1 - i % 2], _within(halves, caps)
 
-    failing = [i for i in range(len(binary)) if not layer_fit(i)[2]]
-    groups = {}       # g0 -> (g1, n_tiles, tiles)
-    untileable = []
-    idx = 0
-    fail_set = set(failing)
-    while idx < len(binary):
-        if idx not in fail_set:
-            idx += 1
-            continue
-        g0 = idx
-        g1_min = g0
-        while g1_min + 1 in fail_set:
-            g1_min += 1
-        found = None
-        max_tiles = max(2, binary[g1_min].pooled_w)
-        for n in range(2, max_tiles + 1):
-            for g1 in range(g1_min, len(binary)):
-                tiles = _group_feasible(net, arch, binary, records, g0, g1, n)
-                if tiles is not None:
-                    found = (g1, n, tiles)
-                    break
-            if found:
-                break
-        if found is None:
-            if strict:
-                raise FitError(
-                    f"layers {binary[g0].name}..{binary[g1_min].name} do not fit the "
-                    f"feature-map memory even with single-column tiles")
-            untileable.extend(binary[j].name for j in range(g0, g1_min + 1))
-            idx = g1_min + 1
-            continue
-        g1, n, tiles = found
-        groups[g0] = (g1, n, tiles)
-        # the group feed map stays alive for every tile pass
-        feed_name = binary[g0].input_layer or (binary[g0 - 1].name if g0 > 0 else INPUT_MAP)
-        for rec in records:
-            if rec.name == feed_name:
+    fits = [layer_fit(i)[2] for i in range(len(binary))]
+    groups, untileable = _search_groups(net, arch, binary, reads, records, fits)
+    if strict and untileable:
+        raise FitError(f"layers {', '.join(binary[j].name for j in untileable)} do not fit "
+                       f"the feature-map memory even with single-column tiles")
+
+    # size the tile slices, and the output of a group that ends the network
+    # (it streams off chip per tile), at their widest tile; the maps a group
+    # reads from before it stay alive for every tile pass
+    for g0, (g1, tiles) in groups.items():
+        widest: dict[str, int] = {}
+        last = binary[g1]
+        for tile in tiles:
+            slices = _slice_bytes(net, binary, g0, g1, tile)
+            if g1 == len(binary) - 1:
+                slices[last.name] = map_bytes(last.n_out, last.pooled_h, tile[0][last.name].pout_w)
+            for name, b in slices.items():
+                widest[name] = max(widest.get(name, 0), b)
+        for rec in records.values():
+            if rec.name in widest and rec.last_use <= g1:
+                rec.bytes = widest[rec.name]
+            elif rec.producer < g0 <= rec.last_use:
                 rec.last_use = max(rec.last_use, g1)
-        idx = g1 + 1
-
-    _assign_addresses(records, arch, len(binary))
-    return binary, records, groups, unsupported, layer_fit, untileable
+    _assign_addresses(list(records.values()), arch, len(binary))
+    return binary, reads, records, groups, unsupported, layer_fit, untileable
 
 
 def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
     return _fit_report(net, arch, _placement(net, arch, strict=False))
 
 
+def _group_of(groups: dict) -> dict:
+    """Binary layer index -> (g0, g1, tiles) of its tiled group."""
+    return {j: (g0, g1, tiles) for g0, (g1, tiles) in groups.items()
+            for j in range(g0, g1 + 1)}
+
+
 def _fit_report(net: NetworkDesc, arch: ArchConfig, placement) -> FitReport:
-    binary, records, groups, unsupported, layer_fit, untileable = placement
+    binary, _, _, groups, unsupported, layer_fit, untileable = placement
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
     entries = []
-    needs_tiling = list(untileable)
-    in_group = {}
-    for g0, (g1, n, tiles) in groups.items():
-        for j in range(g0, g1 + 1):
-            in_group[j] = (g0, g1, n, tiles)
+    in_group = _group_of(groups)
     for i, l in enumerate(binary):
         src, snk, fits = layer_fit(i)
         direction = "A->B" if i % 2 == 0 else "B->A"
         working = C_O_TILE * l.out_h * l.out_w * 2
         tiles_n, overlap = 1, 0
         if i in in_group:
-            g0, g1, n, tiles = in_group[i]
-            tiles_n = n
-            needs_tiling.append(l.name)
-            widths = []
-            src = snk = 0
-            for t, (windows, in_range) in enumerate(tiles):
-                win = windows[l.name]
-                widths.append((in_range, win))
-                s_b = map_bytes(l.n_in, l.in_h, win.in_w)
-                k_b = map_bytes(l.n_out, l.pooled_h, win.pout_w)
-                src, snk = max(src, s_b), max(snk, k_b)
-            for t in range(1, len(widths)):
-                prev_hi = widths[t - 1][1].in_hi
-                lo = widths[t][1].in_lo
-                overlap = max(overlap, prev_hi - lo)
+            wins = [windows[l.name] for windows, _ in in_group[i][2]]
+            tiles_n = len(wins)
+            src = max(map_bytes(l.n_in, l.in_h, w.in_w) for w in wins)
+            snk = max(map_bytes(l.n_out, l.pooled_h, w.pout_w) for w in wins)
+            overlap = max(max(a.in_hi - b.in_lo for a, b in zip(wins, wins[1:])), 0)
             fits = True
         banks_used = -(-src // arch.memory.bank_bytes) + -(-(snk + working) // arch.memory.bank_bytes)
         entries.append(FitEntry(
@@ -586,8 +595,8 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, placement) -> FitReport:
     streamed = 0 if pb_ok else _streamed_param_bits(net, arch)
     return FitReport(
         entries=entries,
-        fits_untiled=not needs_tiling,
-        needs_tiling=needs_tiling,
+        fits_untiled=not (groups or untileable),
+        needs_tiling=[l.name for i, l in enumerate(binary) if i in in_group or i in untileable],
         unsupported_kernels=unsupported,
         param_bytes=param_bytes,
         pb_bytes=arch.memory.pb_bytes,
@@ -618,78 +627,45 @@ def _streamed_param_bits(net: NetworkDesc, arch: ArchConfig) -> int:
 def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
     """Plan every layer; raises FitError if the network cannot be placed."""
     placement = _placement(net, arch)
-    binary, records, groups, unsupported, _, _ = placement
+    binary, reads, records, groups, unsupported, _, _ = placement
     if unsupported:
         raise FitError("unsupported kernel sizes on: " + ", ".join(unsupported))
     fit = _fit_report(net, arch, placement)
-    rec_by_name = {r.name: r for r in records}
     resident = _resident_layers(net, arch)
+    in_group = _group_of(groups)
 
-    in_group = {}
-    for g0, (g1, n, tiles) in groups.items():
-        for j in range(g0, g1 + 1):
-            in_group[j] = (g0, g1, n, tiles)
-
-    entries = {e.layer: e for e in fit.entries}
     schedules = []
-    plans_by_layer: dict[int, list[LayerPlan]] = {}
     pb_offset = 0
-    for i, l in enumerate(binary):
+    for i, (l, entry) in enumerate(zip(binary, fit.entries)):
         direction = "A->B" if i % 2 == 0 else "B->A"
-        feed_name = l.input_layer if l.input_layer is not None else (
-            binary[i - 1].name if i > 0 else INPUT_MAP)
-        feed_rec = rec_by_name[feed_name]
-        out_rec = rec_by_name[l.name]
-        entry = entries[l.name]
+        feed = reads[i][0]
         streamed = l.name not in resident
         chunk_io = arch.memory.io_bits_per_cycle if streamed else None
         common = dict(
-            layer=l, index=i, direction=direction,
+            layer=l, index=i, direction=direction, feed=feed,
             src_bytes=entry.src_bytes, snk_bytes=entry.snk_bytes,
             working_bytes=entry.working_bytes, active_banks=entry.active_banks,
             stream_params=streamed,
-            parks_int_plane=(l.name + "#int") in rec_by_name,
-            feed_banks=feed_rec.banks, out_banks=out_rec.banks,
+            parks_int_plane=(l.name + "#int") in records,
+            feed_banks=records[feed].banks, out_banks=records[l.name].banks,
             pb_word_offset=pb_offset,
             charge_input_io=(i == 0),
             charge_output_io=(i == len(binary) - 1),
         )
         pb_offset += (l.weight_bits() + 16 * l.n_out) // 16
-        if i in in_group:
-            g0, g1, n, tiles = in_group[i]
-            plans = []
-            spatial = []
-            prev_hi = None
-            for t, (windows, in_range) in enumerate(tiles):
-                win = windows[l.name]
-                overlap = (prev_hi - win.in_lo) if prev_hi is not None else 0
-                prev_hi = win.in_hi
-                spatial.append((win.in_lo, win.in_hi, max(0, overlap)))
-                plans.append(LayerPlan(tile=t, n_tiles=n, window=win,
-                                       nest=_layer_nest(l, win, chunk_io),
-                                       **common))
-            tp = TilePlan(C_I_TILE, C_O_TILE, spatial, direction)
-        else:
-            win = full_window(l)
-            plans = [LayerPlan(tile=0, n_tiles=1, window=win,
-                               nest=_layer_nest(l, win, chunk_io), **common)]
-            tp = TilePlan(C_I_TILE, C_O_TILE, [(0, l.in_w, 0)], direction)
-        schedules.append(Schedule(layer=l, index=i, tile_plan=tp, plans=plans))
-        plans_by_layer[i] = plans
+        wins = [w[l.name] for w, _ in in_group[i][2]] if i in in_group else [full_window(l)]
+        plans = [LayerPlan(tile=t, n_tiles=len(wins), window=win,
+                           nest=_layer_nest(l, win, chunk_io), **common)
+                 for t, win in enumerate(wins)]
+        spatial = [(wins[0].in_lo, wins[0].in_hi, 0)] + [
+            (w.in_lo, w.in_hi, max(0, a.in_hi - w.in_lo)) for a, w in zip(wins, wins[1:])]
+        schedules.append(Schedule(layer=l, index=i, plans=plans,
+                                  tile_plan=TilePlan(C_I_TILE, C_O_TILE, spatial, direction)))
 
     # execution order: tile-major inside groups, layer order elsewhere
-    exec_order: list[LayerPlan] = []
-    i = 0
-    while i < len(binary):
-        if i in in_group:
-            g0, g1, n, _ = in_group[i]
-            for t in range(n):
-                for j in range(g0, g1 + 1):
-                    exec_order.append(plans_by_layer[j][t])
-            i = g1 + 1
-        else:
-            exec_order.append(plans_by_layer[i][0])
-            i += 1
+    start = {j: g0 for j, (g0, _, _) in in_group.items()}
+    exec_order = sorted((pl for s in schedules for pl in s.plans),
+                        key=lambda pl: (start.get(pl.index, pl.index), pl.tile, pl.index))
     return NetworkPlan(net=net, arch=arch, schedules=schedules,
                        exec_order=exec_order, fit=fit)
 
@@ -706,7 +682,7 @@ def plan_layer(layer: LayerConfig, arch: ArchConfig, fm_dims: tuple[int, int, in
 # event stream
 # ---------------------------------------------------------------------------
 
-def _layer_events(plan: LayerPlan, detail: str):
+def _layer_events(plan: LayerPlan):
     l, nest, tile = plan.layer, plan.nest, plan.tile
     o_h, o_w, i_w = nest.o_h, nest.o_w, nest.in_w
     k = nest.k
@@ -734,23 +710,12 @@ def _layer_events(plan: LayerPlan, detail: str):
                     "LoadFilterToBPU", name,
                     {"tile": tile, "n_o": n_o, "n_i": n_i, "row": n_r, "b_o": b_o},
                     size=k * k)
-                if detail == "full":
-                    for n_c in range(o_w):
-                        yield Event("StreamFMPixelToBPU", name,
-                                    {"row": n_r, "col": n_c}, size=k)
-                        yield Event("ProducePartialSum", name,
-                                    {"row": n_r, "col": n_c,
-                                     "ch": n_o * C_O_TILE + b_o}, size=1)
-                        yield Event("NMCUAccumulate", name,
-                                    {"row": n_r, "col": n_c,
-                                     "ch": n_o * C_O_TILE + b_o}, size=1)
-                else:
-                    yield Event("ProducePartialSum", name,
-                                {"tile": tile, "n_o": n_o, "n_i": n_i,
-                                 "row": n_r, "b_o": b_o}, size=o_w)
-                    yield Event("NMCUAccumulate", name,
-                                {"tile": tile, "n_o": n_o, "n_i": n_i,
-                                 "row": n_r, "b_o": b_o}, size=o_w)
+                yield Event("ProducePartialSum", name,
+                            {"tile": tile, "n_o": n_o, "n_i": n_i,
+                             "row": n_r, "b_o": b_o}, size=o_w)
+                yield Event("NMCUAccumulate", name,
+                            {"tile": tile, "n_o": n_o, "n_i": n_i,
+                             "row": n_r, "b_o": b_o}, size=o_w)
         if (base, n_i) != last_inner:
             continue
         yield Event("Binarize", name, {"tile": tile, "n_o": n_o},

@@ -225,9 +225,7 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
     full_bits: dict[str, np.ndarray] = {}
     for pl in plan.exec_order:
         l = pl.layer
-        feed_name = l.input_layer if l.input_layer is not None else (
-            binary[pl.index - 1].name if pl.index > 0 else INPUT_MAP)
-        feed = x if feed_name == INPUT_MAP else outputs[feed_name]
+        feed = x if pl.feed == INPUT_MAP else outputs[pl.feed]
 
         residual = None
         if l.residual is not None:

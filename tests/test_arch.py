@@ -127,6 +127,17 @@ def test_arch_file_roundtrip(tmp_path):
     assert again.calib.core_mw_full[7] == 1.3
 
 
+def test_arch_file_ignores_retired_fields():
+    # fields no model read: files written before their removal still parse
+    text = format_arch(builtin_arch("default"))
+    old = (text.replace("pb_bytes =", "pb_banks = 2\nrowbank_count = 7\n"
+                        "rowbank_bytes = 512\npb_bytes =")
+           .replace("io_pj_per_bit =", "mem_subfractions = 0.18, 0.238, 0.127, 0.016\n"
+                    "io_pj_per_bit ="))
+    assert "rowbank_bytes" in old and "mem_subfractions" in old
+    assert format_arch(parse_arch(old)) == text
+
+
 def test_arch_file_errors():
     with pytest.raises(FormatError):
         parse_arch("n_bpu = 7\n")  # key outside a section

@@ -118,6 +118,15 @@ def test_run_rejects_input_of_wrong_dims(tmp_path, capsys):
     assert "16x32x32" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_rejects_bad_accumulator_width(tmp_path, capsys, command):
+    p = tmp_path / "acc0.net"
+    p.write_text("network t\ninput 16 4 4\nacc_bits 0\nlayer a k=1 out=16\n")
+    rc = main([command, str(p)])
+    assert rc == 2
+    assert "acc_bits" in _one_error_line(capsys)
+
+
 def test_report_rejects_binary_file(tmp_path, capsys):
     blob = tmp_path / "run.bin"
     blob.write_bytes(bytes(range(256)))

@@ -88,6 +88,13 @@ def test_zero_size_layer_rejected():
             "t", 16, 4, 4, [LayerConfig(name="a", k=1, n_out=0)]).validate()
 
 
+@pytest.mark.parametrize("acc", [dict(acc_bits=0), dict(acc_bits=33), dict(acc_mode="clip")])
+def test_accumulator_settings_checked(acc):
+    # partial sums are int32, and only checked or saturating adds exist
+    with pytest.raises(ShapeError):
+        NetworkDesc("t", 16, 4, 4, [LayerConfig(name="a", k=1, n_out=16)], **acc).validate()
+
+
 def test_op_count_basis():
     net = NetworkDesc("t", 16, 8, 8, [LayerConfig(name="a", k=3, n_out=32, pool="max")]).validate()
     # MACs at conv output dims (pre-pool), 2 ops per MAC

@@ -114,10 +114,13 @@ def test_feature_three_way(make):
     three_way(make(8, 10), default_arch())
 
 
-@pytest.mark.parametrize("make", [reroute, multibase, prefix_residual, int_residual],
-                         ids=lambda f: f.__name__)
-def test_feature_three_way_tiled(make):
-    plan, _ = three_way(make(8, 48), TINY, seed=1)
+@pytest.mark.parametrize("make,w", [
+    *[pytest.param(f, 48, id=f.__name__) for f in (reroute, multibase, prefix_residual, int_residual)],
+    # tiled groups that must start before the first layer that overflows
+    *[pytest.param(reroute, w, id=f"reroute-{w}") for w in (28, 32)],
+])
+def test_feature_three_way_tiled(make, w):
+    plan, _ = three_way(make(8, w), TINY, seed=1)
     assert any(len(s.plans) > 1 for s in plan.schedules), "tiny memory did not tile"
 
 
@@ -140,6 +143,16 @@ def test_saturate_clips_conv_sum_before_residual():
 
 def test_resnet18_frame_three_way():
     three_way(builtin_network("resnet18_ilsvrc"), default_arch(), seed=18)
+
+
+def test_resnet18_frame_three_way_tiled():
+    # at 38+38 banks s1b1c2 overflows; it tiles only in a group that starts
+    # at s1b1c1, which fits on its own, and ends once stage 2 has halved
+    # the map
+    arch = ArchConfig(memory=MemoryGeometry(fmm_src_banks=38, fmm_snk_banks=38))
+    plan, _ = three_way(builtin_network("resnet18_ilsvrc"), arch, seed=38)
+    tiled = [s.layer.name for s in plan.schedules if len(s.plans) > 1]
+    assert (tiled[0], tiled[-1], len(tiled)) == ("s1b1c1", "s2b1c2", 7)
 
 
 def test_random_thresholds_centre_multibase_sums():
