@@ -9,6 +9,7 @@ reverses the comparison direction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,9 @@ from .errors import DegenerateChannel, ShapeError
 from .tensors import LANES, BinaryTensor, IntTensor, n_groups, unpack_lanes
 
 POOL_WINDOW = 4  # 2x2, stride 2
-_PRODUCT_CAP = 1 << 17  # float32 entries (512 KB) in each of xnor_conv's block buffers
+_BUFFER_CAP = 1 << 17  # float32 entries (512 KB) in xnor_conv's window and product buffers
+_WEIGHT_CAP = 1 << 19  # float32 entries (2 MB) in its weight buffer
+_MIN_PIXELS = 128  # output pixels a row chunk's GEMM gets at least, where the map has them
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int = 1, padded: bool = True) -> tuple[int, int]:
@@ -166,12 +169,16 @@ def xnor_conv(
     uint16.  'same' padding contributes pad-bit comparisons over all input
     lanes.
 
-    Over N lanes popcount(xnor) = (N + dot)/2, dot the sum of +/-1 products.
-    Stride s splits the padded map into float32 phases (rows a::s, columns
-    b::s) of row width wq; tap (s*du + a, s*dv + b) reads phase (a, b) at
-    offset du*wq + dv.  One GEMM per kernel row of a phase stacks its taps
-    along M (kn2row); each tap's product is added at its column shift.  Sums
-    are integers of magnitude <= bases*k*k*n_in, exact below 2**24.
+    Over N lanes popcount(xnor) = (N + dot)/2, dot the sum of +/-1 products,
+    and the bases' dots sum to one dot against their summed +/-1 weights.
+    The map unpacks once into a channels-last +/-1 array inside its pad
+    border; a window view of it (oh, ow, k, k, n_in) copies, a chunk of
+    output rows at a time, into a float32 buffer for one GEMM (im2col)
+    against the summed weights.  Large layers split the taps, and then the
+    output channels, into blocks whose partial dots add up in the result,
+    which is a (n_out, oh, ow) view of pixel-major sums, as the GEMMs write
+    them.  Sums are integers of magnitude <= bases*k*k*n_in, exact below
+    2**24.
     """
     weights = np.asarray(weights, dtype=np.uint16).reshape(-1, *np.shape(weights)[-4:])
     bases, n_out, n_in = weights.shape[0], weights.shape[1], x.channels
@@ -184,56 +191,44 @@ def xnor_conv(
     padded = padding != "none"
     oh, ow = conv_out_hw(x.height, x.width, k, stride, padded)
     p = (k - 1) // 2 if padded else 0
-    s, r = stride, (k - 1) // stride  # a window spans 1 + r rows (and columns) of a phase
-    wq, n_ph, t_max = ow + r, min(s, k), -(-k // s)
 
-    # -1/+1 phase maps holding the pad value off the map; r spare entries at
-    # the end let the last output row's shifted slices run past it
-    phases = np.full((n_ph, n_ph, n_in, (oh + r) * wq + r), 1 if padding == "same1" else -1,
-                     dtype=np.float32)
-    lanes = _bipolar_lanes(x.words.transpose(1, 2, 0), n_in)
-    for a in range(n_ph):
-        for b in range(n_ph):
-            ya, xb = (a - p) % s, (b - p) % s  # first map row and column of phase (a, b)
-            src = lanes[ya::s, xb::s].transpose(2, 0, 1)
-            dst = phases[a, b, :, :(oh + r) * wq].reshape(n_in, oh + r, wq)
-            dst = dst[:, (ya + p) // s:, (xb + p) // s:]
-            np.copyto(dst[:, :src.shape[1], :src.shape[2]], src[:, :dst.shape[1], :dst.shape[2]])
-    del lanes
+    pm = np.full((x.height + 2 * p, x.width + 2 * p, n_in), 1 if padding == "same1" else -1,
+                 dtype=np.int8)
+    pm[p:p + x.height, p:p + x.width] = _bipolar_lanes(x.words.transpose(1, 2, 0), n_in)
+    sy, sx, sc = pm.strides
+    win = np.ndarray((oh, ow, k, k, n_in), np.int8, pm, 0, (stride * sy, stride * sx, sy, sx, sc))
 
-    # Output blocks of m channels by `chunk` rows; their weights, products and
-    # sums reuse buffers sized by _PRODUCT_CAP.  Blocks of all rows convert
-    # their weights once and are taken unless their GEMMs get short (M < 64).
-    m = max(1, min(n_out, _PRODUCT_CAP // (t_max * n_in)))
-    if (m_whole := _PRODUCT_CAP // (t_max * (oh * wq + r))) * t_max >= 64:
-        m = min(m, m_whole)
-    chunk = max(1, min(oh, _PRODUCT_CAP // (t_max * m * wq)))
-    w_buf = np.empty(t_max * m * n_in, dtype=np.float32)
-    prod = np.empty(t_max * m * (chunk * wq + r), dtype=np.float32)
-    acc = np.empty((m, chunk * wq), dtype=np.float32)
-    sums = np.empty((n_out, oh, ow), dtype=np.int32)
-    kernel_rows = [(base, u, b, len(range(b, k, s)))  # (base, kernel row, phase column, taps)
-                   for base in range(bases) for u in range(k) for b in range(n_ph)]
-    for o0 in range(0, n_out, m):
-        w_pm = _bipolar_lanes(weights[:, o0:o0 + m], n_in)  # (bases, mo, k, k, n_in)
+    # Weight blocks of tu x tv taps by m output channels, converted once per
+    # call; whole kernel rows first, then taps of one row, then channels.
+    # Taps split too where a row chunk would hold under _MIN_PIXELS pixels:
+    # shorter GEMMs ran at half the rate (AlexNet c2, 54 of 729 pixels).
+    k_cap = min(_WEIGHT_CAP // n_out, _BUFFER_CAP // min(oh * ow, _MIN_PIXELS))
+    tu = max(1, min(k, k_cap // (k * n_in)))
+    tv = k if k * n_in <= k_cap else max(1, min(k, k_cap // n_in))
+    m = max(1, min(n_out, _WEIGHT_CAP // (tu * tv * n_in)))
+    chunk = max(1, min(oh, _BUFFER_CAP // (ow * max(tu * tv * n_in, m))))
+    w_buf = np.empty(m * tu * tv * n_in, dtype=np.float32)
+    cols = np.empty(chunk * ow * tu * tv * n_in, dtype=np.float32)
+    prod = np.empty(chunk * ow * m, dtype=np.float32)
+    sums = np.empty((oh, ow, n_out), dtype=np.int32)  # pixel-major, as the GEMMs write
+    for o0, u0, v0 in itertools.product(range(0, n_out, m), range(0, k, tu), range(0, k, tv)):
+        w_pm = _bipolar_lanes(weights[:, o0:o0 + m, u0:u0 + tu, v0:v0 + tv], n_in)
+        w_sum = w_buf[:w_pm[0].size].reshape(w_pm.shape[1:])
+        np.copyto(w_sum, w_pm[0])
+        for b0 in range(1, bases, 127):  # int8 sums 127 +/-1 weights exactly, float32 all
+            w_sum += np.add.reduce(w_pm[b0:b0 + 127], axis=0, dtype=np.int8)
+        w_sum = w_sum.reshape(len(w_sum), -1)
         for y0 in range(0, oh, chunk):
-            block = sums[o0:o0 + m, y0:y0 + chunk]
-            mo, rows = block.shape[:2]
-            n = rows * wq
-            dot = acc[:mo, :n]
-            dot.fill(0)
-            for base, u, b, t in kernel_rows:
-                lo = (y0 + u // s) * wq
-                w_row = w_buf[:t * mo * n_in].reshape(t, mo, n_in)
-                np.copyto(w_row, w_pm[base, :, u, b::s].transpose(1, 0, 2))
-                out = prod[:t * mo * (n + t - 1)].reshape(t * mo, n + t - 1)
-                np.matmul(w_row.reshape(t * mo, n_in), phases[u % s, b, :, lo:lo + n + t - 1],
-                          out=out)
-                for dv in range(t):
-                    dot += out[dv * mo:(dv + 1) * mo, dv:dv + n]
-            np.add(dot.reshape(mo, rows, wq)[:, :, :ow], taps, out=block, casting="unsafe")
+            src = win[y0:y0 + chunk, :, u0:u0 + tu, v0:v0 + tv]
+            a = cols[:src.size].reshape(src.shape)
+            np.copyto(a, src)
+            a = a.reshape(-1, w_sum.shape[1])
+            out = np.matmul(a, w_sum.T, out=prod[:len(a) * len(w_sum)].reshape(len(a), -1))
+            block = sums[y0:y0 + chunk, :, o0:o0 + m]  # the first tap block writes it
+            np.add(out.reshape(block.shape), block if u0 or v0 else taps, out=block,
+                   casting="unsafe")
     sums >>= 1
-    return IntTensor(n_out, oh, ow, sums)
+    return IntTensor(n_out, oh, ow, sums.transpose(2, 0, 1))
 
 
 def _compare_bits(values: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ them against the golden model and the independent bipolar oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,16 +85,14 @@ def _valid_taps(layer, win) -> tuple[int, int]:
     not count as achieved work."""
     k, s = layer.k, layer.stride
     p = (k - 1) // 2 if layer.padding != "none" else 0
-    h, w = layer.in_h, layer.in_w
-    vy = 0
-    for oy in range(layer.out_h):
-        a = oy * s - p
-        vy += min(a + k, h) - max(a, 0)
-    vx = 0
-    for ox in range(win.out_lo, win.out_hi):
-        a = ox * s - p
-        vx += min(a + k, w) - max(a, 0)
-    return vy, vx
+
+    def inside(lo: int, hi: int, n: int) -> int:
+        # positions in [-(-p // s), (n + p - k) // s] see all k taps; visit the rest
+        first, last = -(-p // s), (n + p - k) // s
+        edges = itertools.chain(range(lo, min(hi, first)), range(max(lo, first, last + 1), hi))
+        return (hi - lo) * k - sum(max(p - o * s, 0) + max(o * s - p + k - n, 0) for o in edges)
+
+    return inside(0, layer.out_h, layer.in_h), inside(win.out_lo, win.out_hi, layer.in_w)
 
 
 def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
@@ -198,9 +197,9 @@ def _spread_bank_activity(activity: dict, span: tuple, count: int) -> None:
     b0, b1 = span
     if b1 <= b0:
         return
-    share = count // (b1 - b0)
-    for b in range(b0, b1):
-        activity[b] = activity.get(b, 0) + share
+    share, rest = divmod(count, b1 - b0)
+    for b in range(b0, b1):  # the first `rest` banks take one access more
+        activity[b] = activity.get(b, 0) + share + (b - b0 < rest)
 
 
 def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,

@@ -192,31 +192,68 @@ def test_conv_stride2_unequal_phases(k):
 
 
 def test_conv_tall_map_spans_row_chunks():
-    # 16 x 300 x 8 at k=3: one block's products exceed _PRODUCT_CAP, so the
-    # 300 output rows run in chunks, the last one short
-    assert 3 * 16 * 300 * 10 > functional._PRODUCT_CAP
+    # 16 x 300 x 8 at k=3: one output row's windows are 8 x 9 x 16 floats, so
+    # the window buffer holds 113 rows and the 300 rows run in three chunks,
+    # the last one short
+    assert 300 * 8 * 9 * 16 > functional._BUFFER_CAP
+    assert 300 % (functional._BUFFER_CAP // (8 * 9 * 16)) != 0
     rng = np.random.default_rng(12)
     x, w = random_operands(rng, 16, 300, 8, 16, 3)
     assert np.array_equal(xnor_conv(x, w, 3).values, per_bit_conv(x, w, 3, 1, "same0"))
 
 
+def blockings(ow, k, n_in, n_out):
+    """Settings of (window/product cap, weight cap, pixel floor) and the
+    blocking each must take: (rows per chunk or None for all, taps per
+    weight block, output channels per block)."""
+    big = 1 << 30
+    return {
+        "row chunks": ((2 * ow * k * k * n_in, big, 1), (2, k * k, n_out)),
+        "kernel-row blocks": ((big, k * n_in * n_out, 1), (None, k, n_out)),
+        "tap blocks": ((big, n_in * n_out, 1), (None, 1, n_out)),
+        "channel blocks": ((big, n_in * (n_out // 2), 1), (None, 1, n_out // 2)),
+        "chunks in blocks": ((2 * ow * n_in, n_in * n_out, 1), (2, 1, n_out)),
+        "pixel floor": ((2 * ow * k * n_in, big, 2 * ow), (2, k, n_out)),
+    }
+
+
 @pytest.mark.parametrize("k, stride, bases",
                          [(1, 1, 1), (3, 1, 2), (3, 2, 1), (5, 2, 3), (7, 1, 1)])
 def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
-    # a tiny cap splits every call into short output-channel blocks and row
-    # chunks, each with a short remainder
-    monkeypatch.setattr(functional, "_PRODUCT_CAP", 200)
+    # small caps force each blocking path in turn; the GEMM shapes show it is
+    # taken, and every path gives the per-word count
+    n_in, n_out, h, w = 17, 6, 11, 9
     rng = np.random.default_rng(10 * k + stride + bases)
-    x, w1 = random_operands(rng, 17, 11, 9, 5 * bases, k)
-    w = w1.reshape(bases, 5, k, k, -1)
-    want = sum(per_bit_conv(x, w[b], k, stride, "same1") for b in range(bases))
-    assert np.array_equal(xnor_conv(x, w, k, stride, "same1").values, want)
+    x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
+    wts = w1.reshape(bases, n_out, k, k, -1)
+    want = sum(per_bit_conv(x, wts[b], k, stride, "same1") for b in range(bases))
+    oh, ow = want.shape[1:]
+    gemms = []
+    matmul = np.matmul
+
+    def spy(a, b, **kw):
+        gemms.append((len(a), a.shape[1], b.shape[1]))  # (pixels, K, channels)
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for name, ((buf, wcap, floor), (rows, taps, m)) in blockings(ow, k, n_in, n_out).items():
+        monkeypatch.setattr(functional, "_BUFFER_CAP", buf)
+        monkeypatch.setattr(functional, "_WEIGHT_CAP", wcap)
+        monkeypatch.setattr(functional, "_MIN_PIXELS", floor)
+        gemms.clear()
+        assert np.array_equal(xnor_conv(x, wts, k, stride, "same1").values, want), name
+        pixels = {rows * ow, (oh % rows or rows) * ow} if rows else {oh * ow}
+        assert {p for p, _, _ in gemms} == pixels, name
+        assert {kk for _, kk, _ in gemms} == {taps * n_in}, name
+        assert {mm for _, _, mm in gemms} == {m}, name
+        chunks = -(-oh // rows) if rows else 1
+        assert len(gemms) == k * k // taps * (n_out // m) * chunks, name
 
 
 @pytest.mark.parametrize("n_out", [1, 5, 19, 100])
 def test_conv_n_out_not_multiple_of_16(n_out):
-    # 100 x 512 channels: the weights of one kernel row exceed _PRODUCT_CAP,
-    # so the output channels run in blocks, the last one short
+    # output channel counts off the 16-lane grid, at 512 input channels; 100
+    # channels' weights (3 x 3 x 512 x 100 floats) nearly fill _WEIGHT_CAP
     rng = np.random.default_rng(n_out)
     x, w = random_operands(rng, 512, 3, 3, n_out, 3)
     assert np.array_equal(xnor_conv(x, w, 3).values, per_bit_conv(x, w, 3, 1, "same0"))
@@ -229,6 +266,17 @@ def test_conv_three_bases_equal_sum_of_single_bases():
     got = xnor_conv(x, w, 3, padding="same1")
     want = sum(xnor_conv(x, w[b], 3, padding="same1").values for b in range(3))
     assert np.array_equal(got.values, want)
+
+
+def test_conv_folds_many_identical_bases_exactly():
+    # 200 identical bases sum each +/-1 weight to +/-200, past an int8 fold
+    rng = np.random.default_rng(200)
+    x_bip = rng.choice([-1, 1], size=(5, 6, 5)).astype(np.int8)
+    w_bip = rng.choice([-1, 1], size=(4, 5, 3, 3)).astype(np.int8)
+    x, w = binarize_pack(x_bip), pack_weights(w_bip)
+    got = xnor_conv(x, np.stack([w] * 200), 3, padding="same1").values
+    assert np.array_equal(got, 200 * xnor_conv(x, w, 3, padding="same1").values)
+    assert np.array_equal(2 * got - 200 * 9 * 5, 200 * bipolar_conv(x_bip, w_bip, padding="same1"))
 
 
 def test_conv_rejects_inexact_multibase_tap_count():

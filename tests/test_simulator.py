@@ -1,5 +1,8 @@
 """Cycle model contracts, bit-true execution, and counter conservation."""
 
+from importlib.resources import files
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch
 from bnnsim.errors import AccumulatorOverflow, FitError
 from bnnsim.functional import ThresholdVector, run_network_reference
 from bnnsim.netio import (
+    builtin_network,
     random_input,
     random_network,
     random_thresholds,
@@ -14,7 +18,8 @@ from bnnsim.netio import (
 )
 from bnnsim.network import LayerConfig, NetworkDesc
 from bnnsim.oracle import run_bipolar_reference
-from bnnsim.simulator import run, utilization, verify_against_oracle
+from bnnsim.scheduler import plan_network
+from bnnsim.simulator import _valid_taps, execute, run, utilization, verify_against_oracle
 from bnnsim.stats import Stats
 from bnnsim.tensors import BinaryTensor, n_groups
 
@@ -80,6 +85,55 @@ def test_access_conservation_fmm_writes():
     la, lb = net.layers
     assert a.fmm_writes == (n_groups(24) * 36) + (24 * 36)  # map + parked plane
     assert b.fmm_writes == n_groups(24) * 36
+
+
+BUNDLED = sorted(f.name[:-4] for f in (files("bnnsim") / "shapes").iterdir()
+                 if f.name.endswith(".net"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bank_activity_adds_up(name):
+    # every access the counters spread over bank spans lands in one bank; the
+    # 1+1-bank arch fits only the smallest nets
+    tiny = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
+    for arch in (default_arch(), tiny):
+        net = builtin_network(name)
+        rng = np.random.default_rng(1)
+        random_thresholds(net, rng)
+        try:
+            plan = plan_network(net, arch)
+        except FitError:
+            assert arch is tiny
+            continue
+        _, st = execute(plan, net, random_input(net, rng), random_weights(net, rng), arch)
+        assert sum(st.bank_activity.values()) == st.fmm_reads + st.fmm_writes + 2 * st.nmcu_rmw
+
+
+def loop_valid_taps(layer, win):
+    """_valid_taps by visiting every output row and window column."""
+    k, s = layer.k, layer.stride
+    p = (k - 1) // 2 if layer.padding != "none" else 0
+    vy = sum(min(oy * s - p + k, layer.in_h) - max(oy * s - p, 0) for oy in range(layer.out_h))
+    vx = sum(min(ox * s - p + k, layer.in_w) - max(ox * s - p, 0)
+             for ox in range(win.out_lo, win.out_hi))
+    return vy, vx
+
+
+def test_valid_taps_closed_form_matches_loop():
+    rng = np.random.default_rng(57)
+    for _ in range(3000):
+        k, stride = int(rng.choice([1, 3, 5, 7])), int(rng.integers(1, 3))
+        padding = str(rng.choice(["none", "same0", "same1"]))
+        h, w = (int(v) for v in rng.integers(1, 40, size=2))
+        p = (k - 1) // 2 if padding != "none" else 0
+        out_h, out_w = (h + 2 * p - k) // stride + 1, (w + 2 * p - k) // stride + 1
+        if min(out_h, out_w) <= 0:
+            continue
+        lo = int(rng.integers(0, out_w))  # a tile window, or the whole row
+        win = SimpleNamespace(out_lo=lo, out_hi=int(rng.integers(lo + 1, out_w + 1)))
+        layer = SimpleNamespace(k=k, stride=stride, padding=padding, in_h=h, in_w=w,
+                                out_h=out_h)
+        assert _valid_taps(layer, win) == loop_valid_taps(layer, win)
 
 
 def test_monotone_cycles_in_image_size():
