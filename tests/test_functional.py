@@ -204,30 +204,39 @@ def test_conv_tall_map_spans_row_chunks():
 
 def blockings(ow, k, n_in, n_out):
     """Settings of (window/product cap, weight cap, pixel floor) and the
-    blocking each must take: (rows per chunk or None for all, taps per
-    weight block, output channels per block)."""
+    blocking each must take: (rows per chunk or None for all, kernel rows
+    per weight block, taps of a row per block, output channels per block)."""
     big = 1 << 30
     return {
-        "row chunks": ((2 * ow * k * k * n_in, big, 1), (2, k * k, n_out)),
-        "kernel-row blocks": ((big, k * n_in * n_out, 1), (None, k, n_out)),
-        "tap blocks": ((big, n_in * n_out, 1), (None, 1, n_out)),
-        "channel blocks": ((big, n_in * (n_out // 2), 1), (None, 1, n_out // 2)),
-        "chunks in blocks": ((2 * ow * n_in, n_in * n_out, 1), (2, 1, n_out)),
-        "pixel floor": ((2 * ow * k * n_in, big, 2 * ow), (2, k, n_out)),
+        "row chunks": ((2 * ow * k * k * n_in, big, 1), (2, k, k, n_out)),
+        "kernel-row blocks": ((big, 2 * k * n_in * n_out, 1), (None, min(k, 2), k, n_out)),
+        "tap blocks": ((big, 2 * n_in * n_out, 1), (None, 1, min(k, 2), n_out)),
+        "channel blocks": ((big, 2 * n_in, 1), (None, 1, 1, 2)),
+        "chunks in blocks": ((2 * ow * n_in, 2 * n_in, 1), (2, 1, 1, 2)),
+        "pixel floor": ((2 * ow * k * n_in, big, 2 * ow), (2, 1, k, n_out)),
     }
+
+
+def block_sizes(n, size):
+    """Sizes of the blocks that split n into runs of `size`, the last short."""
+    return [min(size, n - i) for i in range(0, n, size)]
 
 
 @pytest.mark.parametrize("k, stride, bases",
                          [(1, 1, 1), (3, 1, 2), (3, 2, 1), (5, 2, 3), (7, 1, 1)])
 def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
-    # small caps force each blocking path in turn; the GEMM shapes show it is
-    # taken, and every path gives the per-word count
-    n_in, n_out, h, w = 17, 6, 11, 9
+    # small caps force each blocking path in turn, each with a short last
+    # row chunk, kernel-row block, tap block and channel block where it
+    # splits (13 rows and 5 channels in twos, kernel rows and taps of k > 1
+    # in twos); the GEMM shapes show the path is taken, and every path gives
+    # the per-word count
+    n_in, n_out, h, w = 17, 5, 13, 9
     rng = np.random.default_rng(10 * k + stride + bases)
     x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
     wts = w1.reshape(bases, n_out, k, k, -1)
     want = sum(per_bit_conv(x, wts[b], k, stride, "same1") for b in range(bases))
     oh, ow = want.shape[1:]
+    assert oh % 2 and n_out % 2 and k % 2
     gemms = []
     matmul = np.matmul
 
@@ -236,18 +245,16 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
         return matmul(a, b, **kw)
 
     monkeypatch.setattr(np, "matmul", spy)
-    for name, ((buf, wcap, floor), (rows, taps, m)) in blockings(ow, k, n_in, n_out).items():
+    for name, ((buf, wcap, floor), (rows, tu, tv, m)) in blockings(ow, k, n_in, n_out).items():
         monkeypatch.setattr(functional, "_BUFFER_CAP", buf)
         monkeypatch.setattr(functional, "_WEIGHT_CAP", wcap)
         monkeypatch.setattr(functional, "_MIN_PIXELS", floor)
         gemms.clear()
         assert np.array_equal(xnor_conv(x, wts, k, stride, "same1").values, want), name
-        pixels = {rows * ow, (oh % rows or rows) * ow} if rows else {oh * ow}
-        assert {p for p, _, _ in gemms} == pixels, name
-        assert {kk for _, kk, _ in gemms} == {taps * n_in}, name
-        assert {mm for _, _, mm in gemms} == {m}, name
-        chunks = -(-oh // rows) if rows else 1
-        assert len(gemms) == k * k // taps * (n_out // m) * chunks, name
+        expected = [(r * ow, u * v * n_in, mm) for mm in block_sizes(n_out, m)
+                    for u in block_sizes(k, tu) for v in block_sizes(k, tv)
+                    for r in block_sizes(oh, rows or oh)]
+        assert sorted(gemms) == sorted(expected), name
 
 
 @pytest.mark.parametrize("n_out", [1, 5, 19, 100])
@@ -257,6 +264,32 @@ def test_conv_n_out_not_multiple_of_16(n_out):
     rng = np.random.default_rng(n_out)
     x, w = random_operands(rng, 512, 3, 3, n_out, 3)
     assert np.array_equal(xnor_conv(x, w, 3).values, per_bit_conv(x, w, 3, 1, "same0"))
+
+
+def test_conv_wide_layer_runs_short_channel_block():
+    # at the shipped caps, 600 output channels of 1024 taps overflow the
+    # weight buffer, which holds 512 of them: blocks of 512 and 88 channels
+    assert 600 * 1024 > functional._WEIGHT_CAP == 512 * 1024
+    rng = np.random.default_rng(600)
+    x, w = random_operands(rng, 1024, 1, 2, 600, 1)
+    assert np.array_equal(xnor_conv(x, w, 1).values, per_bit_conv(x, w, 1, 1, "same0"))
+
+
+def test_conv_split_taps_stay_exact_at_the_float32_bound():
+    # 85 bases of 3 x 3 x 21845 taps: 16,711,425, just under 2**24.  The one
+    # output pixel splits the weights into kernel rows 2 + 1, and the tap
+    # count plus the first block's dot is odd and past 2**24, where float32
+    # rounds it; the map matches the weights but for one first-row bit
+    n_in, bases = 21845, 85
+    rng = np.random.default_rng(85)
+    w = rng.integers(0, 1 << 16, size=(1, 3, 3, n_groups(n_in)), dtype=np.uint16)
+    words = w[0].transpose(2, 0, 1).copy()
+    words[0, 0, 0] ^= 1
+    x = BinaryTensor(n_in, 3, 3, words)
+    got = xnor_conv(x, np.stack([w] * bases), 3, padding="none").values
+    assert (1 << 24) - 9 * n_in < bases * 9 * n_in < 1 << 24
+    assert got[0, 0, 0] == bases * (9 * n_in - 1)
+    assert np.array_equal(got, bases * per_bit_conv(x, w, 3, 1, "none"))
 
 
 def test_conv_three_bases_equal_sum_of_single_bases():
