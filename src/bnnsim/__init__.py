@@ -38,7 +38,6 @@ from .functional import (
     derive_threshold,
     fold_thresholds,
     layer_forward,
-    residual_accumulate,
     run_network_reference,
     threshold_binarize,
     xnor_conv,

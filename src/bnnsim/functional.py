@@ -1,5 +1,6 @@
 """Bit-exact layer semantics: xnor-popcount convolution, threshold folding,
-boolean pooling, and residual accumulation.
+boolean pooling, and residual accumulation, composed by `layer_forward`,
+the one layer step of both the golden model and the simulator.
 
 All comparisons follow the hardware comparator: a channel output is -1
 (bit 0) strictly below its integer threshold and +1 (bit 1) otherwise.
@@ -161,13 +162,17 @@ def xnor_conv(
     k: int,
     stride: int = 1,
     padding: str = "same0",
+    cols: tuple[int, int] | None = None,
 ) -> IntTensor:
     """Binary-domain convolution: per output value, the popcount of matching
     bits over the k x k window and all input channels, summed over bases.
 
     `weights` is packed (n_out, k, k, groups) or (bases, n_out, k, k, groups)
     uint16.  'same' padding contributes pad-bit comparisons over all input
-    lanes.
+    lanes.  `cols` = (lo, hi) computes only output columns [lo, hi), all of
+    them by default: only the input columns those read unpack, with the pad
+    value where they cross the image edge, so a column stripe of a map gets
+    the same sums as that stripe of the whole map's result.
 
     Over N lanes popcount(xnor) = (N + dot)/2, dot the sum of +/-1 products,
     and the bases' dots sum to one dot against their summed +/-1 weights.
@@ -190,11 +195,18 @@ def xnor_conv(
         raise ShapeError(f"{bases}x{k}x{k}x{n_in} taps exceed the exact float32 range")
     padded = padding != "none"
     oh, ow = conv_out_hw(x.height, x.width, k, stride, padded)
+    lo, hi = cols or (0, ow)
+    if not 0 <= lo < hi <= ow:
+        raise ShapeError(f"output columns [{lo}, {hi}) are outside the map's {ow} columns")
     p = (k - 1) // 2 if padded else 0
+    c0, c1 = lo * stride - p, (hi - 1) * stride - p + k  # input columns read
+    s0, s1 = max(c0, 0), min(c1, x.width)
+    ow = hi - lo
 
-    pm = np.full((x.height + 2 * p, x.width + 2 * p, n_in), 1 if padding == "same1" else -1,
+    pm = np.full((x.height + 2 * p, c1 - c0, n_in), 1 if padding == "same1" else -1,
                  dtype=np.int8)
-    pm[p:p + x.height, p:p + x.width] = _bipolar_lanes(x.words.transpose(1, 2, 0), n_in)
+    pm[p:p + x.height, s0 - c0:s1 - c0] = _bipolar_lanes(
+        x.words[:, :, s0:s1].transpose(1, 2, 0), n_in)
     sy, sx, sc = pm.strides
     win = np.ndarray((oh, ow, k, k, n_in), np.int8, pm, 0, (stride * sy, stride * sx, sy, sx, sc))
 
@@ -280,37 +292,6 @@ def avg_pool_threshold(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
     return BinaryTensor.from_bits(_compare_bits(s4, th.t_pool, th.flip))
 
 
-def residual_accumulate(
-    sums: IntTensor, residual: IntTensor, acc_bits: int = 16, mode: str = "error"
-) -> IntTensor:
-    """Elementwise checked add of a parked residual plane into the sums."""
-    if (sums.channels, sums.height, sums.width) != (
-        residual.channels,
-        residual.height,
-        residual.width,
-    ):
-        raise ShapeError("residual plane dimensions do not match")
-    out = IntTensor(sums.channels, sums.height, sums.width, sums.values + residual.values)
-    return out.check_range(acc_bits, mode)
-
-
-def bipolar_residual_accumulate(
-    sums: IntTensor, residual: BinaryTensor, acc_bits: int = 16, mode: str = "error"
-) -> IntTensor:
-    """Add a re-binarized residual as +/-1 per element (binary parking mode)."""
-    if (sums.channels, sums.height, sums.width) != (
-        residual.channels,
-        residual.height,
-        residual.width,
-    ):
-        raise ShapeError("residual map dimensions do not match")
-    out = IntTensor(
-        sums.channels, sums.height, sums.width,
-        sums.values + residual.to_bipolar().astype(np.int32),
-    )
-    return out.check_range(acc_bits, mode)
-
-
 # ---------------------------------------------------------------------------
 # golden network model
 # ---------------------------------------------------------------------------
@@ -325,24 +306,42 @@ def layer_forward(
     x: BinaryTensor,
     layer,
     weights: np.ndarray,
-    residual=None,
+    residual: IntTensor | BinaryTensor | None = None,
     acc_bits: int = 16,
     acc_mode: str = "error",
+    cols: tuple[int, int] | None = None,
 ) -> LayerResult:
-    """Run one binary layer: conv (all bases), residual add, binarize/pool."""
+    """Run one binary layer: conv (all bases), residual add, binarize/pool.
+
+    `cols` = (lo, hi) runs only conv output columns [lo, hi) (all by
+    default), as a spatial tile does; on a pooling layer an even `lo` keeps
+    the 2x2 windows on the whole map's grid.
+    `residual` is the whole parked int plane or the whole binary map of the
+    layer's conv output; its columns [lo, hi) add, as integers or as +/-1,
+    into the sums in place.  The conv sums, then the sums with the residual,
+    are checked against (or saturated to) the `acc_bits` accumulator.
+    """
     if getattr(layer, "flatten", False):
         x = x.flatten()
     if x.channels != layer.n_in:
         raise ShapeError(f"layer {layer.name}: input has {x.channels} channels, expected {layer.n_in}")
     if (len(weights) if np.ndim(weights) == 5 else 1) != layer.bases:
         raise ShapeError(f"layer {layer.name}: {np.shape(weights)} weights for {layer.bases} bases")
-    sums = xnor_conv(x, weights, layer.k, layer.stride, layer.padding)
-    sums.check_range(acc_bits, acc_mode)
+    sums = xnor_conv(x, weights, layer.k, layer.stride, layer.padding, cols)
+    sums.check_range(acc_bits, acc_mode, f"layer {layer.name}: partial sum")
     if residual is not None:
+        lo, hi = cols or (0, sums.width)
+        ow = conv_out_hw(x.height, x.width, layer.k, layer.stride, layer.padding != "none")[1]
+        dims = (residual.channels, residual.height, residual.width)
+        if dims != (sums.channels, sums.height, ow):
+            raise ShapeError(f"layer {layer.name}: residual dims {dims} != conv output "
+                             f"{(sums.channels, sums.height, ow)}")
         if isinstance(residual, IntTensor):
-            sums = residual_accumulate(sums, residual, acc_bits, acc_mode)
+            sums.values += residual.values[:, :, lo:hi]
         else:
-            sums = bipolar_residual_accumulate(sums, residual, acc_bits, acc_mode)
+            part = residual.words[:, :, lo:hi]
+            sums.values += BinaryTensor(residual.channels, sums.height, hi - lo, part).to_bipolar()
+        sums.check_range(acc_bits, acc_mode, f"layer {layer.name}: residual add")
     th = layer.thresholds
     if th is None:
         raise ShapeError(f"layer {layer.name} has no thresholds attached")
@@ -366,12 +365,13 @@ def run_network_reference(net, x: BinaryTensor, weights: dict) -> dict:
     current = x
     for layer in net.binary_layers():
         feed = current if layer.input_layer is None else results[layer.input_layer].bits
-        residual = None
-        if layer.residual is not None:
-            if layer.residual_mode == "int":
-                residual = results[layer.residual].sums
-            else:
-                residual = net.residual_bits(layer, results, x)
+        src = layer.residual
+        if src is None:
+            residual = None
+        elif layer.residual_mode == "int":
+            residual = results[src].sums
+        else:  # a binary residual from the last prefix external layer is `x`
+            residual = results[src].bits if src in results else x
         res = layer_forward(feed, layer, weights[layer.name], residual, net.acc_bits, net.acc_mode)
         results[layer.name] = res
         current = res.bits

@@ -52,6 +52,11 @@ class LayerConfig:
     pooled_w: int = field(default=0, compare=False)
 
     @property
+    def pad(self) -> int:
+        """Columns (and rows) of 'same' padding on each side of the map."""
+        return (self.k - 1) // 2 if self.padding != "none" else 0
+
+    @property
     def kind(self) -> str:
         return "conv+pool" if self.pool != "none" else "conv"
 
@@ -76,7 +81,6 @@ class NetworkDesc:
     layers: list[LayerConfig] = field(default_factory=list)
     acc_bits: int = 16
     acc_mode: str = "error"
-    truncated_pools: list[str] = field(default_factory=list, compare=False)
 
     def layer(self, name: str) -> LayerConfig:
         for l in self.layers:
@@ -109,10 +113,8 @@ class NetworkDesc:
             if any(kinds[lo:hi + 1]):
                 raise ShapeError("external layers are only allowed before or after the binary body")
 
-        self.truncated_pools = []
         dims: dict[str, tuple[int, int, int]] = {}
         current = (self.in_channels, self.in_h, self.in_w)
-        seen: list[LayerConfig] = []
         for l in self.layers:
             if l.input_layer is not None:
                 if l.external:
@@ -154,8 +156,6 @@ class NetworkDesc:
                 ph, pw = oh // 2, ow // 2
                 if ph == 0 or pw == 0:
                     raise ShapeError(f"layer {l.name}: 2x2 pool on a {oh}x{ow} map")
-                if oh % 2 or ow % 2:
-                    self.truncated_pools.append(l.name)
 
             l.n_in, l.in_h, l.in_w = c, h, w
             l.out_h, l.out_w, l.pooled_h, l.pooled_w = oh, ow, ph, pw
@@ -165,7 +165,6 @@ class NetworkDesc:
 
             dims[l.name] = (l.n_out, ph, pw)
             current = dims[l.name]
-            seen.append(l)
         return self
 
     def _check_residual(self, l: LayerConfig, dims: dict) -> None:
@@ -216,13 +215,6 @@ class NetworkDesc:
             prev = self.layers[idx - 1]
             return prev.out_dims()
         return c, h, w
-
-    def residual_bits(self, layer: LayerConfig, results: dict, x):
-        """Binary-mode residual source map (a layer output or the input map)."""
-        src = layer.residual
-        if src in results:
-            return results[src].bits
-        return x  # last prefix external: its output is the simulated input
 
     def op_count(self) -> dict:
         """Graph arithmetic: 2 ops per MAC, conv output dims, every layer."""

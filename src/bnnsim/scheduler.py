@@ -134,8 +134,7 @@ class LoopNest:
 
 def _layer_nest(layer: LayerConfig, window: TileWindow,
                io_bits_per_cycle: int | None) -> LoopNest:
-    k, s = layer.k, layer.stride
-    p = (k - 1) // 2 if layer.padding != "none" else 0
+    k, s, p = layer.k, layer.stride, layer.pad
     return LoopNest(
         out_tiles=tuple(channel_tiles(layer.n_out, C_O_TILE)), bases=layer.bases,
         in_tiles=tuple(channel_tiles(layer.n_in, C_I_TILE)), k=k,
@@ -156,9 +155,6 @@ class LayerPlan:
     window: TileWindow
     nest: LoopNest
     feed: str = INPUT_MAP      # record name of the map the layer reads
-    src_bytes: int = 0
-    snk_bytes: int = 0
-    working_bytes: int = 0
     active_banks: int = 0
     stream_params: bool = False
     charge_input_io: bool = False
@@ -347,9 +343,8 @@ def _group_windows(binary: list[LayerConfig], reads, g0: int, g1: int,
             clo, chi = 2 * plo, min(2 * phi, l.out_w)
         else:
             clo, chi = plo, phi
-        p = (l.k - 1) // 2 if l.padding != "none" else 0
-        in_lo = max(0, clo * l.stride - p)
-        in_hi = min(l.in_w, (chi - 1) * l.stride - p + l.k)
+        in_lo = max(0, clo * l.stride - l.pad)
+        in_hi = min(l.in_w, (chi - 1) * l.stride - l.pad + l.k)
         windows[l.name] = TileWindow(in_lo, in_hi, clo, chi, plo, phi)
         feed, res = reads[j]
         if feed in sliced:
@@ -643,8 +638,7 @@ def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
         chunk_io = arch.memory.io_bits_per_cycle if streamed else None
         common = dict(
             layer=l, index=i, direction=direction, feed=feed,
-            src_bytes=entry.src_bytes, snk_bytes=entry.snk_bytes,
-            working_bytes=entry.working_bytes, active_banks=entry.active_banks,
+            active_banks=entry.active_banks,
             stream_params=streamed,
             parks_int_plane=(l.name + "#int") in records,
             feed_banks=records[feed].banks, out_banks=records[l.name].banks,

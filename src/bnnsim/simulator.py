@@ -10,9 +10,10 @@ first rows of each (n_o, base, n_i) block, one cycle per layer for the
 source/sink swap, and one cycle per 2x2 window per 16-channel word for
 max pooling.  The nest counters are closed forms, not a walk of the nest.
 
-Outputs come from the functional model's own conv kernel, run on each
-spatial tile's window, and its threshold and pooling path; tests check
-them against the golden model and the independent bipolar oracle.
+Outputs come from the golden model's own layer step,
+`functional.layer_forward`, run over each spatial tile's range of conv
+output columns; tests check them against the golden model and the
+independent bipolar oracle.
 """
 
 from __future__ import annotations
@@ -24,17 +25,11 @@ import numpy as np
 
 from .arch import ArchConfig
 from .errors import FitError, ShapeError
-from .functional import (
-    ThresholdVector,
-    avg_pool_threshold,
-    binary_maxpool,
-    threshold_binarize,
-    xnor_conv,
-)
+from .functional import LayerResult, layer_forward
 from .network import NetworkDesc
 from .scheduler import INPUT_MAP, PIPE_FILL, LayerPlan, NetworkPlan, plan_network
 from .stats import LayerStats, Stats
-from .tensors import BinaryTensor, IntTensor, lane_masks, n_groups
+from .tensors import BinaryTensor, IntTensor, n_groups
 
 
 @dataclass
@@ -61,30 +56,12 @@ class VerifyReport:
         return f"DIVERGENCE at layer {layer}, channel {c}, pixel ({y},{x})\n"
 
 
-def _build_slab(feed: BinaryTensor, layer, win) -> BinaryTensor:
-    """Map slab covering the window's receptive field, vertically padded,
-    horizontally padded only where the window crosses the real image edge."""
-    k, s = layer.k, layer.stride
-    p = (k - 1) // 2 if layer.padding != "none" else 0
-    pad_word = lane_masks(feed.channels) if layer.padding == "same1" else None
-    g, h, w = feed.words.shape
-    lo = win.out_lo * s - p
-    hi = (win.out_hi - 1) * s - p + k
-    slab = np.zeros((g, h + 2 * p, hi - lo), dtype=np.uint16)
-    if pad_word is not None:
-        slab[:] = pad_word[:, None, None]
-    src_lo, src_hi = max(lo, 0), min(hi, w)
-    slab[:, p:p + h, src_lo - lo:src_hi - lo] = feed.words[:, :, src_lo:src_hi]
-    return BinaryTensor(feed.channels, h + 2 * p, hi - lo, slab)
-
-
 def _valid_taps(layer, win) -> tuple[int, int]:
     """(sum of valid vertical taps over rows, same over window columns).
 
     Window positions hanging over the image edge have idle lanes that do
     not count as achieved work."""
-    k, s = layer.k, layer.stride
-    p = (k - 1) // 2 if layer.padding != "none" else 0
+    k, s, p = layer.k, layer.stride, layer.pad
 
     def inside(lo: int, hi: int, n: int) -> int:
         # positions in [-(-p // s), (n + p - k) // s] see all k taps; visit the rest
@@ -97,22 +74,16 @@ def _valid_taps(layer, win) -> tuple[int, int]:
 
 def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
                     residual, net: NetworkDesc, arch: ArchConfig,
-                    bank_activity: dict) -> tuple[IntTensor, BinaryTensor, LayerStats]:
+                    bank_activity: dict) -> tuple[LayerResult, LayerStats]:
     l, win, nest = plan.layer, plan.window, plan.nest
-    if getattr(l, "flatten", False):
-        feed = feed.flatten()
-    if feed.channels != l.n_in:
-        raise ShapeError(f"layer {l.name}: feed has {feed.channels} channels, expected {l.n_in}")
-    k, s = l.k, l.stride
-    o_h, o_w, i_w = nest.o_h, nest.o_w, nest.in_w
-
-    # Bit-true sums of every block at once.  Popcount partial sums are
+    # Bit-true sums and bits of every block at once, from the golden model's
+    # layer step over the tile's columns.  Popcount partial sums are
     # non-negative, so the accumulator only grows over the blocks: one range
     # check (or clip) of the total equals one after every block.
-    if (len(weights) if np.ndim(weights) == 5 else 1) != l.bases:
-        raise ShapeError(f"layer {l.name}: {np.shape(weights)} weights for {l.bases} bases")
-    sums = xnor_conv(_build_slab(feed, l, win), weights, k, s, padding="none").check_range(
-        net.acc_bits, net.acc_mode, f"layer {l.name}: partial sum")
+    res = layer_forward(feed, l, weights, residual, net.acc_bits, net.acc_mode,
+                        (win.out_lo, win.out_hi))
+    k, s = l.k, l.stride
+    o_h, o_w, i_w = nest.o_h, nest.o_w, nest.in_w
 
     # Counters of the block nest in closed form; sum(out_tiles) == n_out.
     blocks = len(nest.out_tiles) * nest.blocks_per_out_tile
@@ -140,31 +111,13 @@ def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
 
     # residual accumulation at final write-back
     if residual is not None:
-        kind, data = residual
-        if kind == "int":
-            sums.values += data[:, :, win.out_lo:win.out_hi]
-            st.fmm_reads += l.n_out * o_h * o_w
-        else:
-            sl = BinaryTensor(l.n_out, o_h, o_w,
-                              data.words[:, :, win.out_lo:win.out_hi].copy())
-            sums.values += sl.to_bipolar()
-            st.fmm_reads += n_groups(l.n_out) * o_h * o_w
-        sums.check_range(net.acc_bits, net.acc_mode, f"layer {l.name}: residual add")
+        st.fmm_reads += (l.n_out if l.residual_mode == "int" else n_groups(l.n_out)) * o_h * o_w
         st.nmcu_rmw += l.n_out * o_h * o_w
-
-    th = l.thresholds
-    if th is None:
-        raise ShapeError(f"layer {l.name}: thresholds missing")
     if l.pool == "max":
-        bits = _pool_slice(binary_maxpool, sums, th, win)
         st.cycles_pool += n_groups(l.n_out) * (o_h // 2) * win.pout_w
-    elif l.pool == "avg":
-        bits = _pool_slice(avg_pool_threshold, sums, th, win)
-    else:
-        bits = threshold_binarize(sums, th)
 
     # packed result write-back (+ residual parking)
-    out_words = n_groups(l.n_out) * bits.height * bits.width
+    out_words = n_groups(l.n_out) * res.bits.height * res.bits.width
     st.fmm_writes += out_words
     if plan.parks_int_plane:
         st.fmm_writes += l.n_out * o_h * o_w
@@ -181,16 +134,7 @@ def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
     _spread_bank_activity(bank_activity, plan.feed_banks, st.fmm_reads)
     _spread_bank_activity(bank_activity, plan.out_banks,
                           st.fmm_writes + 2 * st.nmcu_rmw)
-    return sums, bits, st
-
-
-def _pool_slice(pool_fn, sums: IntTensor, th: ThresholdVector, win) -> BinaryTensor:
-    # pooling pairs columns on the global grid; out_lo is even by construction
-    usable = 2 * (win.pout_hi - win.pout_lo)
-    if usable < sums.width:
-        sums = IntTensor(sums.channels, sums.height, usable,
-                         sums.values[:, :, :usable])
-    return pool_fn(sums, th)
+    return res, st
 
 
 def _spread_bank_activity(activity: dict, span: tuple, count: int) -> None:
@@ -212,7 +156,7 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
     arch = arch or plan.arch
     stats = Stats(net=net.name)
     outputs: dict[str, BinaryTensor] = {}
-    planes: dict[str, np.ndarray] = {}
+    planes: dict[str, IntTensor] = {}
     layer_stats: dict[tuple, LayerStats] = {}
     binary = net.binary_layers()
     if not binary:
@@ -227,28 +171,24 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
         feed = x if pl.feed == INPUT_MAP else outputs[pl.feed]
 
         residual = None
-        if l.residual is not None:
-            if l.residual_mode == "int":
-                residual = ("int", planes[l.residual])
-            else:
-                src = outputs.get(l.residual, x)
-                residual = ("binary", src)
+        if l.residual is not None:  # the whole plane or map; a tile reads its columns
+            residual = planes[l.residual] if l.residual_mode == "int" else outputs.get(l.residual, x)
 
-        sums, bits, st = _run_layer_tile(pl, feed, weights[l.name], residual,
-                                         net, arch, stats.bank_activity)
+        res, st = _run_layer_tile(pl, feed, weights[l.name], residual,
+                                  net, arch, stats.bank_activity)
         layer_stats[(pl.index, pl.tile)] = st
 
         win = pl.window
         if l.name not in full_bits:
             full_bits[l.name] = np.zeros(
                 (n_groups(l.n_out), l.pooled_h, l.pooled_w), dtype=np.uint16)
-        full_bits[l.name][:, :, win.pout_lo:win.pout_hi] = bits.words
+        full_bits[l.name][:, :, win.pout_lo:win.pout_hi] = res.bits.words
         outputs[l.name] = BinaryTensor(l.n_out, l.pooled_h, l.pooled_w,
                                        full_bits[l.name])
         if pl.parks_int_plane:
             if l.name not in planes:
-                planes[l.name] = np.zeros((l.n_out, l.out_h, l.out_w), dtype=np.int32)
-            planes[l.name][:, :, win.out_lo:win.out_hi] = sums.values
+                planes[l.name] = IntTensor(l.n_out, l.out_h, l.out_w)
+            planes[l.name].values[:, :, win.out_lo:win.out_hi] = res.sums.values
 
     stats.layers = [layer_stats[key] for key in sorted(layer_stats)]
     return outputs, stats

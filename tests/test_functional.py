@@ -18,12 +18,15 @@ from bnnsim.functional import (
     ThresholdVector,
     avg_pool_threshold,
     binary_maxpool,
+    conv_out_hw,
     derive_threshold,
     fold_thresholds,
+    layer_forward,
     real_sign_bit,
     threshold_binarize,
     xnor_conv,
 )
+from bnnsim.network import LayerConfig
 from bnnsim.oracle import bipolar_conv, unpack_bipolar, unpack_weights_bipolar
 from bnnsim.tensors import BinaryTensor, IntTensor, binarize_pack, lane_mask, n_groups
 
@@ -344,6 +347,71 @@ def test_weight_unpack_roundtrip():
     w_bip = rng.choice([-1, 1], size=(5, 20, 3, 3)).astype(np.int8)
     packed = pack_weights(w_bip)
     assert np.array_equal(unpack_weights_bipolar(packed, 20), w_bip)
+
+
+# ---------------------------------------------------------------------------
+# layer_forward over a column range
+# ---------------------------------------------------------------------------
+
+def column_layer(rng, k, stride, padding, pool="none", n_in=20, n_out=5, h=9, w=12):
+    """A layer with random thresholds, its packed input map and weights."""
+    x, wts = random_operands(rng, n_in, h, w, n_out, k)
+    l = LayerConfig(name="a", k=k, n_out=n_out, stride=stride, padding=padding, pool=pool,
+                    n_in=n_in)
+    taps = k * k * n_in
+    l.thresholds = ThresholdVector(rng.integers(taps // 4, 3 * taps // 4 + 1, size=n_out),
+                                   rng.random(n_out) < 0.3)
+    return l, x, wts
+
+
+def column_ranges(ow, step):
+    """Ranges touching the left edge, the right edge, and only the interior,
+    with lo a multiple of `step`."""
+    mid = step * (ow // 2 // step)
+    return [(lo, hi) for lo, hi in [(0, ow // 2 + 1), (mid, ow), (step, ow - 1), (0, ow)]
+            if 0 <= lo < hi <= ow and hi - lo >= step]
+
+
+def residuals(rng, kind, n_out, oh, ow):
+    if kind == "int":
+        return IntTensor(n_out, oh, ow, rng.integers(-50, 50, size=(n_out, oh, ow)))
+    if kind == "binary":
+        return binarize_pack(rng.choice([-1, 1], size=(n_out, oh, ow)))
+    return None
+
+
+@pytest.mark.parametrize("w", [11, 12])
+@pytest.mark.parametrize("padding", ["none", "same0", "same1"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_layer_forward_column_range_is_that_slice_of_the_map(k, stride, padding, w):
+    rng = np.random.default_rng(300 + 10 * k + stride)
+    for pool, kind in [("none", None), ("none", "int"), ("none", "binary"),
+                       ("max", None), ("avg", "int"), ("max", "binary")]:
+        l, x, wts = column_layer(rng, k, stride, padding, pool, w=w)
+        oh, ow = conv_out_hw(x.height, x.width, k, stride, padding != "none")
+        residual = residuals(rng, kind, l.n_out, oh, ow)
+        kept = None if residual is None else {f: np.copy(v) for f, v in vars(residual).items()}
+        whole = layer_forward(x, l, wts, residual)
+        step = 2 if pool != "none" else 1
+        for lo, hi in column_ranges(ow, step):
+            part = layer_forward(x, l, wts, residual, cols=(lo, hi))
+            assert np.array_equal(part.sums.values, whole.sums.values[:, :, lo:hi]), (lo, hi)
+            p0, p1 = (lo // 2, lo // 2 + (hi - lo) // 2) if pool != "none" else (lo, hi)
+            assert np.array_equal(part.bits.to_bits(), whole.bits.to_bits()[:, :, p0:p1])
+        if residual is not None:  # added into the sums, never into the residual
+            assert all(np.array_equal(v, kept[f]) for f, v in vars(residual).items())
+
+
+def test_layer_forward_rejects_a_residual_narrower_than_its_columns():
+    rng = np.random.default_rng(310)
+    l, x, wts = column_layer(rng, 3, 1, "same0")
+    for width in (7, 3):  # narrower than hi, and only the range's own width
+        narrow = IntTensor(l.n_out, x.height, width)
+        with pytest.raises(ShapeError, match="layer a: residual"):
+            layer_forward(x, l, wts, narrow, cols=(4, 8))
+    with pytest.raises(ShapeError, match="output columns"):
+        layer_forward(x, l, wts, cols=(4, 13))
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,8 @@ def test_valid_taps_closed_form_matches_loop():
             continue
         lo = int(rng.integers(0, out_w))  # a tile window, or the whole row
         win = SimpleNamespace(out_lo=lo, out_hi=int(rng.integers(lo + 1, out_w + 1)))
-        layer = SimpleNamespace(k=k, stride=stride, padding=padding, in_h=h, in_w=w,
-                                out_h=out_h)
+        layer = LayerConfig(name="a", k=k, n_out=16, stride=stride, padding=padding,
+                            in_h=h, in_w=w, out_h=out_h)
         assert _valid_taps(layer, win) == loop_valid_taps(layer, win)
 
 
@@ -193,6 +193,10 @@ def test_accumulator_overflow_detected():
                    acc_bits=8)
     with pytest.raises(AccumulatorOverflow, match="layer a: partial sum"):
         simulate(net, rng)
+    # the golden model runs the same layer step, and names the layer too
+    rng = np.random.default_rng(59)
+    with pytest.raises(AccumulatorOverflow, match="layer a: partial sum"):
+        run_network_reference(net, random_input(net, rng), random_weights(net, rng))
 
 
 def test_accumulator_saturation_mode():
