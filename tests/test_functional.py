@@ -406,7 +406,7 @@ def test_layer_forward_column_range_is_that_slice_of_the_map(k, stride, padding,
 def test_layer_forward_rejects_a_residual_narrower_than_its_columns():
     rng = np.random.default_rng(310)
     l, x, wts = column_layer(rng, 3, 1, "same0")
-    for width in (7, 3):  # narrower than hi, and only the range's own width
+    for width in (7, 4):  # narrower than hi, and only the range's own width
         narrow = IntTensor(l.n_out, x.height, width)
         with pytest.raises(ShapeError, match="layer a: residual"):
             layer_forward(x, l, wts, narrow, cols=(4, 8))
