@@ -1,12 +1,14 @@
 """Independent brute-force reference in the bipolar (+/-1) domain.
 
 This path shares no convolution or pooling code with the packed-word
-implementation: tensors are unpacked via numpy bit twiddling, the
-correlation is a sum over the k*k taps of float32 matrix products
-(n_out x n_in) @ (n_in x oh*ow) on the +/-1 values, and pooling reduces
-integer sums directly.  The products are exact integers while
-k*k*n_in < 2**24.  It exists to cross-check both the functional model and
-the cycle simulator.
+implementation.  Tensors are unpacked via np.unpackbits into channels-first
++/-1 arrays.  The correlation is an im2col GEMM per chunk of output rows:
+the k x k windows of the padded map copy into a float32 column matrix
+(k*k*n_in) x (rows*ow), which each block of output channels' float32
+(k, k, n_in) weight rows multiplies.  Every base is correlated and mapped
+back to a binary-domain sum on its own.  Pooling reduces integer sums
+directly.  The products are exact integers while k*k*n_in < 2**24.  It
+exists to cross-check both the functional model and the cycle simulator.
 """
 
 from __future__ import annotations
@@ -16,25 +18,34 @@ import numpy as np
 from .errors import ShapeError
 from .tensors import LANES, BinaryTensor
 
+# float32 entries (1 MB each) in bipolar_conv's weight block and column matrix;
+# a 2 MB weight block put a checked resnet18 frame's peak RSS 1.7 MB higher
+_WEIGHT_CAP = 1 << 18
+_COLUMN_CAP = 1 << 18
+
 
 def unpack_bipolar(t: BinaryTensor) -> np.ndarray:
     """(C, H, W) int8 array of +/-1 values, unpacked via np.unpackbits."""
     g, h, w = t.words.shape
-    bytes_ = t.words.reshape(g, h, w, 1).view(np.uint8)  # little-endian pairs
-    bits = np.unpackbits(bytes_, axis=3, bitorder="little")  # (g, h, w, 16)
+    bits = _unpack_words(t.words)  # (g, h, w, 16)
     lanes = np.moveaxis(bits, 3, 1).reshape(g * LANES, h, w)[: t.channels]
     return _to_bipolar(lanes)
 
 
 def unpack_weights_bipolar(packed: np.ndarray, n_in: int) -> np.ndarray:
     """Packed (n_out, k, k, groups) words -> (n_out, n_in, k, k) of +/-1,
-    a view of (k, k, n_out, n_in) data, so each tap is one contiguous block."""
-    packed = np.asarray(packed, dtype=np.uint16)
-    n_out, k, _, g = packed.shape
-    bytes_ = packed.transpose(1, 2, 0, 3).reshape(k, k, n_out, g, 1).view(np.uint8)
-    bits = np.unpackbits(bytes_, axis=4, bitorder="little")  # (k,k,n_out,g,16)
-    lanes = _to_bipolar(bits.reshape(k, k, n_out, g * LANES))[:, :, :, :n_in]
-    return lanes.transpose(2, 3, 0, 1)
+    a view of (n_out, k, k, n_in) data, so each output channel's weights are
+    one contiguous (k, k, n_in) row."""
+    n_out, k, _, g = np.shape(packed)
+    lanes = _to_bipolar(_unpack_words(packed).reshape(n_out, k, k, g * LANES))
+    return lanes[..., :n_in].transpose(0, 3, 1, 2)
+
+
+def _unpack_words(words: np.ndarray) -> np.ndarray:
+    """uint16 words -> their 16 bits as 0/1 uint8 along a new last axis."""
+    bytes_ = np.ascontiguousarray(words, dtype="<u2").view(np.uint8)
+    bits = np.unpackbits(bytes_, bitorder="little")  # flat: 8x faster than along an axis
+    return bits.reshape(*np.shape(words), LANES)
 
 
 def _to_bipolar(bits: np.ndarray) -> np.ndarray:
@@ -45,42 +56,80 @@ def _to_bipolar(bits: np.ndarray) -> np.ndarray:
     return out
 
 
+class PackedWeights:
+    """Packed (n_out, k, k, groups) words read as (n_out, n_in, k, k) +/-1
+    weights: a slice of output channels unpacks only those channels."""
+
+    def __init__(self, packed: np.ndarray, n_in: int):
+        self.packed = np.asarray(packed, dtype=np.uint16)
+        n_out, k = self.packed.shape[:2]
+        self.shape = (n_out, n_in, k, k)
+
+    def __getitem__(self, channels: slice) -> np.ndarray:
+        return unpack_weights_bipolar(self.packed[channels], self.shape[1])
+
+
 def bipolar_conv(
-    x: np.ndarray, w: np.ndarray, stride: int = 1, padding: str = "same0"
+    x: np.ndarray, w: np.ndarray | PackedWeights, stride: int = 1, padding: str = "same0"
 ) -> np.ndarray:
     """Plain integer correlation of +/-1 arrays, padding with the pad bit's
-    bipolar value.  Returns int32 (n_out, oh, ow)."""
+    bipolar value.  Returns int32 (n_out, oh, ow).
+
+    `w` is (n_out, n_in, k, k) +/-1: an array, or `PackedWeights`, which
+    unpacks one block of output channels at a time.  For each chunk of output
+    rows, a window view of the padded map copies once into a float32
+    (k*k*n_in) x (rows*ow) column matrix; each block of output channels, as
+    float32 (k, k, n_in) rows, then takes one GEMM against it, which writes
+    its int32 sums in place.  Blocks convert again for each chunk, unless one
+    block holds every channel.
+    """
     n_out, n_in, k, _ = w.shape
     if x.shape[0] != n_in:
         raise ShapeError(f"input has {x.shape[0]} channels, weights expect {n_in}")
-    if k * k * n_in >= 1 << 24:  # past this, float32 sums stop being exact
+    kk = k * k * n_in
+    if kk >= 1 << 24:  # past this, float32 sums stop being exact
         raise ShapeError(f"{k}x{k}x{n_in} taps exceed the exact float32 range")
     if padding != "none":
         p = (k - 1) // 2
         fill = 1 if padding == "same1" else -1
         x = np.pad(x, ((0, 0), (p, p), (p, p)), constant_values=fill)
+    x = np.ascontiguousarray(x)
     oh = (x.shape[1] - k) // stride + 1
     ow = (x.shape[2] - k) // stride + 1
-    # one buffer each for the tap copy, the tap weights and the product
-    tap = np.empty((n_in, oh, ow), dtype=np.float32)
-    w_tap = np.empty((n_out, n_in), dtype=np.float32)
-    prod = np.empty((n_out, oh * ow), dtype=np.float32)
-    acc = np.zeros((n_out, oh * ow), dtype=np.float32)
-    w_taps = w.transpose(2, 3, 0, 1)  # (k, k, n_out, n_in)
-    for u in range(k):
-        for v in range(k):
-            np.copyto(tap, x[:, u::stride, v::stride][:, :oh, :ow])
-            np.copyto(w_tap, w_taps[u, v])
-            acc += np.matmul(w_tap, tap.reshape(n_in, oh * ow), out=prod)
-    sums = prod.view(np.int32)  # the product's buffer takes the int32 result
-    np.copyto(sums, acc, casting="unsafe")
-    return sums.reshape(n_out, oh, ow)
+    sc, sy, sx = x.strides
+    win = np.ndarray((k, k, n_in, oh, ow), x.dtype, x, 0, (sy, sx, sc, stride * sy, stride * sx))
+    m = _even_split(n_out, _WEIGHT_CAP // kk)
+    rows = _even_split(oh, _COLUMN_CAP // (kk * ow))
+    w_buf = np.empty(m * kk, dtype=np.float32)
+    cols = np.empty(kk * rows * ow, dtype=np.float32)
+    sums = np.empty((n_out, oh, ow), dtype=np.int32)
+    for y0 in range(0, oh, rows):
+        src = win[:, :, :, y0:y0 + rows]
+        a = cols[:src.size].reshape(src.shape)
+        np.copyto(a, src)
+        a = a.reshape(kk, -1)
+        for o0 in range(0, n_out, m):
+            if y0 == 0 or m < n_out:
+                w_blk = w[o0:o0 + m].transpose(0, 2, 3, 1)  # contiguous when unpacked from words
+                w_f = w_buf[:w_blk.size].reshape(w_blk.shape)
+                np.copyto(w_f, w_blk)
+                w_f = w_f.reshape(len(w_f), kk)
+                del w_blk  # free an unpacked block before the next one unpacks
+            out = sums[o0:o0 + m, y0:y0 + rows].reshape(len(w_f), -1)
+            np.matmul(w_f, a, out=out, casting="unsafe")
+    return sums
+
+
+def _even_split(n: int, cap: int) -> int:
+    """Size of the fewest equal parts, each at most `cap` (at least 1), that cover n."""
+    parts = -(-n // max(1, cap))
+    return -(-n // parts)
 
 
 def to_binary_sum(s_bip: np.ndarray, taps: int) -> np.ndarray:
     """Invert the bipolar rewrite S_bip = 2*S_hat - taps, in place."""
     s_bip += taps
-    if np.any(s_bip & 1):
+    if np.bitwise_or.reduce(s_bip, axis=None) & 1:  # some sum is odd
         raise ShapeError("bipolar sum parity broken; taps count is wrong")
     s_bip >>= 1
     return s_bip
@@ -97,8 +146,9 @@ def _accumulate(sums: np.ndarray, net) -> np.ndarray:
 
 
 def _compare(values: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    ge = values >= t[:, None, None]
-    return np.where(flip[:, None, None], ~ge, ge).astype(np.uint8)
+    bits = values >= t[:, None, None]
+    bits ^= flip[:, None, None]
+    return bits.view(np.uint8)
 
 
 def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
@@ -121,13 +171,9 @@ def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
         w_all = np.asarray(weights[layer.name], dtype=np.uint16)
         if w_all.ndim == 4:
             w_all = w_all[None]
-        # a whole layer's unpacked weights (2.4 MB at 512x512x3x3) set a frame's peak memory
-        blk = max(1, (1 << 19) // (layer.k * layer.k * layer.n_in))
         for b in range(layer.bases):
-            part = to_binary_sum(np.concatenate([
-                bipolar_conv(feed, unpack_weights_bipolar(w_all[b][o:o + blk], layer.n_in),
-                             layer.stride, layer.padding)
-                for o in range(0, layer.n_out, blk)]), taps)
+            w_bip = PackedWeights(w_all[b], layer.n_in)
+            part = to_binary_sum(bipolar_conv(feed, w_bip, layer.stride, layer.padding), taps)
             sums = part if sums is None else sums + part
         # the accumulator width applies to the conv sum, then to the residual add
         sums = _accumulate(sums, net)

@@ -90,7 +90,10 @@ class BinaryTensor:
 
     def to_bipolar(self) -> np.ndarray:
         """Unpack to int8 values in {-1, +1}."""
-        return (self.to_bits().astype(np.int8) * 2) - 1
+        pm = self.to_bits().view(np.int8)  # a fresh array: convert in place
+        pm *= 2
+        pm -= 1
+        return pm
 
     def flatten(self) -> "BinaryTensor":
         """Reshape C x H x W to (H*W*C) x 1 x 1 without touching bit lanes.

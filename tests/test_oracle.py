@@ -1,0 +1,98 @@
+"""The bipolar oracle's own pieces: its im2col correlation against a
+per-pixel window sum written here, its bounds and parity checks, and the
+traced memory of one oracle frame.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from bnnsim import netio, oracle
+from bnnsim.errors import ShapeError
+from bnnsim.oracle import (
+    PackedWeights,
+    bipolar_conv,
+    run_bipolar_reference,
+    to_binary_sum,
+    unpack_weights_bipolar,
+)
+from bnnsim.tensors import n_groups
+
+
+def window_sums(x, w, stride, padding):
+    """Per output pixel, the sum over its k x k window of x times w."""
+    n_out, n_in, k, _ = w.shape
+    p = (k - 1) // 2 if padding != "none" else 0
+    xp = np.pad(x.astype(np.int64), ((0, 0), (p, p), (p, p)),
+                constant_values=1 if padding == "same1" else -1)
+    oh = (xp.shape[1] - k) // stride + 1
+    ow = (xp.shape[2] - k) // stride + 1
+    out = np.zeros((n_out, oh, ow), dtype=np.int64)
+    for y in range(oh):
+        for x0 in range(ow):
+            win = xp[:, y * stride:y * stride + k, x0 * stride:x0 * stride + k]
+            out[:, y, x0] = np.tensordot(w.astype(np.int64), win, axes=3)
+    return out
+
+
+@pytest.mark.parametrize("k, stride, padding, n_in, n_out, h, w", [
+    (7, 2, "same1", 20, 10, 15, 13),
+    (3, 1, "same0", 37, 9, 11, 6),
+    (5, 1, "none", 3, 4, 9, 9),
+    (1, 2, "same1", 17, 6, 7, 8),
+])
+def test_bipolar_conv_matches_window_sums(monkeypatch, k, stride, padding, n_in, n_out, h, w):
+    # caps of three output channels and three output rows split every case
+    # into several channel blocks and row chunks, the last ones short
+    rng = np.random.default_rng(k * 100 + n_in)
+    kk = k * k * n_in
+    p = (k - 1) // 2 if padding != "none" else 0
+    ow = (w + 2 * p - k) // stride + 1
+    monkeypatch.setattr(oracle, "_WEIGHT_CAP", 3 * kk)
+    monkeypatch.setattr(oracle, "_COLUMN_CAP", 3 * kk * ow)
+    x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_in, h, w))
+    packed = rng.integers(0, 1 << 16, size=(n_out, k, k, n_groups(n_in)), dtype=np.uint16)
+    w_bip = np.ascontiguousarray(unpack_weights_bipolar(packed, n_in))
+    want = window_sums(x, w_bip, stride, padding)
+    assert n_out > 3 and want.shape[1] > 3
+    assert np.array_equal(bipolar_conv(x, w_bip, stride=stride, padding=padding), want)
+    got = bipolar_conv(x, PackedWeights(packed, n_in), stride=stride, padding=padding)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+def test_to_binary_sum_rejects_odd_sums():
+    assert np.array_equal(to_binary_sum(np.array([-3, -1, 1, 3], dtype=np.int32), 3),
+                          [0, 1, 2, 3])
+    with pytest.raises(ShapeError, match="parity"):
+        to_binary_sum(np.array([[[-3, -1], [1, 2]]], dtype=np.int32), 3)
+
+
+@pytest.mark.parametrize("k, n_in", [(7, -(-(1 << 24) // 49)), (1, 1 << 24)])
+def test_bipolar_conv_rejects_inexact_tap_count(k, n_in):
+    # broadcast views: the bound is checked before anything is allocated
+    x = np.broadcast_to(np.int8(1), (n_in, k, k))
+    w = np.broadcast_to(np.int8(1), (1, n_in, k, k))
+    with pytest.raises(ShapeError, match="exact float32"):
+        bipolar_conv(x, w, padding="none")
+
+
+@pytest.mark.parametrize("name, budget_mb", [
+    ("resnet18_ilsvrc", 11.2),
+    ("sed_freesound", 16.2),
+])
+def test_oracle_traced_memory_budget(name, budget_mb):
+    # 10.8 MB and 15.8 MB with numpy 2.4 (seed 41); the per-tap oracle
+    # before the im2col GEMM peaked at 9.5 MB and 16.4 MB
+    rng = np.random.default_rng(41)
+    net = netio.builtin_network(name)
+    netio.random_thresholds(net, rng)
+    weights = netio.random_weights(net, rng)
+    x = netio.random_input(net, rng)
+    tracemalloc.start()
+    try:
+        run_bipolar_reference(net, x, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget_mb * 1e6
