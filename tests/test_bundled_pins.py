@@ -5,6 +5,10 @@ digests: one of `Stats.to_text()` (every counter, per layer run and per
 bank) and one of every binary layer's output words, in layer order.  A
 change that moves one modeled counter or one output bit fails here.
 
+Each net's `arch.validate()` report is pinned too, on the default arch and
+on a 38+38-bank one on which resnet18_ilsvrc and sed_freesound tile: one
+digest of every report and entry field per arch.
+
 Regenerate the pins only with a change that means to move them:
 
     PYTHONPATH=src python tests/test_bundled_pins.py
@@ -17,11 +21,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnnsim import default_arch, netio, run
+from bnnsim import ArchConfig, MemoryGeometry, default_arch, netio, run, validate
 
 PINS = Path(__file__).parent / "data" / "bundled_pins.json"
 NETS = ("vgg_like_cifar10", "resnet18_ilsvrc", "resnet18_ilsvrc_3x", "resnet18_ilsvrc_8x",
         "alexnet_dorefa_ilsvrc", "sed_freesound")
+FIT_ARCHS = {"default": default_arch,
+             "38+38": lambda: ArchConfig(memory=MemoryGeometry(fmm_src_banks=38, fmm_snk_banks=38))}
+REPORT_FIELDS = ("fits_untiled", "needs_tiling", "unsupported_kernels", "weights_fit_pb",
+                 "streamed_param_bits")
+ENTRY_FIELDS = ("layer", "active_banks", "fits", "tiles", "overlap_cols")
 
 
 def digests(name: str) -> dict:
@@ -36,7 +45,18 @@ def digests(name: str) -> dict:
     for l in net.binary_layers():
         words.update(np.ascontiguousarray(outputs[l.name].words, dtype="<u2").tobytes())
     return {"stats": hashlib.sha256(stats.to_text().encode()).hexdigest(),
-            "outputs": words.hexdigest()}
+            "outputs": words.hexdigest(), "fit": fit_digests(net)}
+
+
+def fit_digests(net) -> dict:
+    """Per arch, the digest of the fit report's fields and its entries'."""
+    out = {}
+    for arch_name, make_arch in FIT_ARCHS.items():
+        report = validate(net, make_arch())
+        fields = [getattr(report, f) for f in REPORT_FIELDS]
+        fields += [[getattr(e, f) for f in ENTRY_FIELDS] for e in report.entries]
+        out[arch_name] = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+    return out
 
 
 @pytest.mark.parametrize("name", NETS)
