@@ -58,7 +58,7 @@ from .netio import (
 from .network import LayerConfig, NetworkDesc
 from .oracle import run_bipolar_reference
 from .power import CalibrationTable, PowerReport, core_power, efficiency, full_report, ideal_point
-from .scheduler import Schedule, TilePlan, plan_layer, plan_network
+from .scheduler import Schedule, plan_network
 from .simulator import Stats, UtilizationReport, execute, run, utilization, verify_against_oracle
 from .tensors import BinaryTensor, IntTensor, binarize_pack
 

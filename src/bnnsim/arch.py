@@ -122,12 +122,6 @@ def plane_bytes(channels: int, h: int, w: int) -> int:
 @dataclass
 class FitEntry:
     layer: str
-    direction: str
-    src_bytes: int
-    snk_bytes: int
-    src_capacity: int
-    snk_capacity: int
-    working_bytes: int          # partial-sum tile plane, informational only
     active_banks: int
     fits: bool
     tiles: int = 1
@@ -140,38 +134,17 @@ class FitReport:
     fits_untiled: bool
     needs_tiling: list[str]
     unsupported_kernels: list[str]
-    param_bytes: int
-    pb_bytes: int
     weights_fit_pb: bool
     streamed_param_bits: int
-
-    def summary(self) -> str:
-        lines = [
-            f"fits without tiling: {'yes' if self.fits_untiled else 'no'}",
-            f"parameter bytes: {self.param_bytes} / PB {self.pb_bytes} "
-            f"({'resident' if self.weights_fit_pb else 'streamed'})",
-        ]
-        if self.needs_tiling:
-            lines.append("layers needing spatial tiling: " + ", ".join(self.needs_tiling))
-        if self.unsupported_kernels:
-            lines.append("unsupported kernels: " + ", ".join(self.unsupported_kernels))
-        for e in self.entries:
-            lines.append(
-                f"  {e.layer:16s} {e.direction}  src {e.src_bytes:>8d}/{e.src_capacity:<8d}"
-                f" snk {e.snk_bytes:>8d}/{e.snk_capacity:<8d}"
-                f" work {e.working_bytes:>8d}  banks {e.active_banks:>3d}"
-                f"  {'ok' if e.fits else 'TILE'}"
-                + (f" x{e.tiles} (overlap {e.overlap_cols})" if e.tiles > 1 else "")
-            )
-        return "\n".join(lines)
 
 
 def validate(net, arch: ArchConfig) -> FitReport:
     """Check a network against the memory geometry and kernel support.
 
     Byte accounting covers packed activation maps and parked residual
-    planes; the in-flight partial-sum tile plane is reported but does not
-    affect the fit verdict.  Tile counts come from the scheduler.
+    planes; the in-flight partial-sum tile plane counts toward a layer's
+    active banks but not toward the fit verdict.  Tile counts come from the
+    scheduler.
     """
     from . import scheduler  # local import; scheduler depends on this module
 

@@ -65,14 +65,6 @@ def full_window(layer: LayerConfig) -> TileWindow:
     return TileWindow(0, layer.in_w, 0, layer.out_w, 0, layer.pooled_w)
 
 
-@dataclass
-class TilePlan:
-    c_i_tile: int
-    c_o_tile: int
-    spatial_tiles: list  # (col_start, col_end, overlap_cols) at layer/group input
-    fmm_direction: str
-
-
 @dataclass(frozen=True)
 class LoopNest:
     """The (n_o, base, n_i) block nest of one (layer, spatial tile) run.
@@ -150,8 +142,6 @@ class LayerPlan:
     layer: LayerConfig
     index: int                 # binary layer index (drives ping-pong parity)
     tile: int
-    n_tiles: int
-    direction: str
     window: TileWindow
     nest: LoopNest
     feed: str = INPUT_MAP      # record name of the map the layer reads
@@ -170,8 +160,6 @@ class Schedule:
     """Per-layer plan: loop bounds plus an event stream for audits."""
 
     layer: LayerConfig
-    index: int
-    tile_plan: TilePlan
     plans: list
 
     def events(self):
@@ -518,12 +506,11 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
     reads = _reads(binary)
     records = _build_records(net, binary, reads)
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
-
-    def layer_fit(i):
-        halves = _half_bytes(records.values(), i)
-        return halves[i % 2], halves[1 - i % 2], _within(halves, caps)
-
-    fits = [layer_fit(i)[2] for i in range(len(binary))]
+    # taken before the group slices are resized below: a resized slice or an
+    # extended lifetime is alive only inside its group, and a grouped
+    # layer's fit comes from its windows
+    halves = [_half_bytes(records.values(), i) for i in range(len(binary))]
+    fits = [_within(h, caps) for h in halves]
     groups, untileable = _search_groups(net, arch, binary, reads, records, fits)
     if strict and untileable:
         raise FitError(f"layers {', '.join(binary[j].name for j in untileable)} do not fit "
@@ -547,56 +534,52 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
             elif rec.producer < g0 <= rec.last_use:
                 rec.last_use = max(rec.last_use, g1)
     _assign_addresses(list(records.values()), arch, len(binary))
-    return binary, reads, records, groups, unsupported, layer_fit, untileable
+
+    # each layer's column windows: one per stripe of its tiled group, else the whole map
+    windows = [[full_window(l)] for l in binary]
+    for g0, (g1, tiles) in groups.items():
+        for j in range(g0, g1 + 1):
+            windows[j] = [w[binary[j].name] for w, _ in tiles]
+    fit = _fit_report(net, arch, binary, halves, windows, unsupported)
+    return binary, reads, records, groups, windows, fit, untileable
 
 
 def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
-    return _fit_report(net, arch, _placement(net, arch, strict=False))
+    _, _, _, _, _, fit, _ = _placement(net, arch, strict=False)
+    return fit
 
 
-def _group_of(groups: dict) -> dict:
-    """Binary layer index -> (g0, g1, tiles) of its tiled group."""
-    return {j: (g0, g1, tiles) for g0, (g1, tiles) in groups.items()
-            for j in range(g0, g1 + 1)}
-
-
-def _fit_report(net: NetworkDesc, arch: ArchConfig, placement) -> FitReport:
-    binary, _, _, groups, unsupported, layer_fit, untileable = placement
+def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, windows,
+                unsupported) -> FitReport:
+    """Banks and fit per layer: an untiled layer counts every map alive in
+    its source and sink halves, a tiled one its widest window's feed and
+    output maps."""
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
+    bank = arch.memory.bank_bytes
     entries = []
-    in_group = _group_of(groups)
-    for i, l in enumerate(binary):
-        src, snk, fits = layer_fit(i)
-        direction = "A->B" if i % 2 == 0 else "B->A"
-        working = C_O_TILE * l.out_h * l.out_w * 2
-        tiles_n, overlap = 1, 0
-        if i in in_group:
-            wins = [windows[l.name] for windows, _ in in_group[i][2]]
-            tiles_n = len(wins)
+    for i, (l, wins) in enumerate(zip(binary, windows)):
+        src, snk = halves[i][i % 2], halves[i][1 - i % 2]
+        fits, overlap = _within(halves[i], caps), 0
+        if len(wins) > 1:
             src = max(map_bytes(l.n_in, l.in_h, w.in_w) for w in wins)
             snk = max(map_bytes(l.n_out, l.pooled_h, w.pout_w) for w in wins)
             overlap = max(max(a.in_hi - b.in_lo for a, b in zip(wins, wins[1:])), 0)
             fits = True
-        banks_used = -(-src // arch.memory.bank_bytes) + -(-(snk + working) // arch.memory.bank_bytes)
+        working = C_O_TILE * l.out_h * l.out_w * 2   # partial-sum tile plane
+        banks_used = -(-src // bank) + -(-(snk + working) // bank)
         entries.append(FitEntry(
-            layer=l.name, direction=direction, src_bytes=src, snk_bytes=snk,
-            src_capacity=caps[i % 2], snk_capacity=caps[1 - i % 2],
-            working_bytes=working,
-            active_banks=min(banks_used, arch.memory.fmm_banks_total),
-            fits=fits, tiles=tiles_n, overlap_cols=overlap,
-        ))
-    param_bytes = -(-net.param_bits() // 8)
-    pb_ok = param_bytes <= arch.memory.pb_bytes
-    streamed = 0 if pb_ok else _streamed_param_bits(net, arch)
+            layer=l.name, active_banks=min(banks_used, arch.memory.fmm_banks_total),
+            fits=fits, tiles=len(wins), overlap_cols=overlap))
+    needs_tiling = [e.layer for e in entries if e.tiles > 1 or not e.fits]
+    resident = _resident_layers(net, arch)
     return FitReport(
         entries=entries,
-        fits_untiled=not (groups or untileable),
-        needs_tiling=[l.name for i, l in enumerate(binary) if i in in_group or i in untileable],
+        fits_untiled=not needs_tiling,
+        needs_tiling=needs_tiling,
         unsupported_kernels=unsupported,
-        param_bytes=param_bytes,
-        pb_bytes=arch.memory.pb_bytes,
-        weights_fit_pb=pb_ok,
-        streamed_param_bits=streamed,
+        weights_fit_pb=-(-net.param_bits() // 8) <= arch.memory.pb_bytes,
+        streamed_param_bits=sum(l.weight_bits() + 16 * l.n_out
+                                for l in binary if l.name not in resident),
     )
 
 
@@ -613,31 +596,21 @@ def _resident_layers(net: NetworkDesc, arch: ArchConfig) -> set[str]:
     return resident
 
 
-def _streamed_param_bits(net: NetworkDesc, arch: ArchConfig) -> int:
-    resident = _resident_layers(net, arch)
-    return sum(l.weight_bits() + 16 * l.n_out
-               for l in net.binary_layers() if l.name not in resident)
-
-
 def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
     """Plan every layer; raises FitError if the network cannot be placed."""
-    placement = _placement(net, arch)
-    binary, reads, records, groups, unsupported, _, _ = placement
-    if unsupported:
-        raise FitError("unsupported kernel sizes on: " + ", ".join(unsupported))
-    fit = _fit_report(net, arch, placement)
+    binary, reads, records, groups, windows, fit, _ = _placement(net, arch)
+    if fit.unsupported_kernels:
+        raise FitError("unsupported kernel sizes on: " + ", ".join(fit.unsupported_kernels))
     resident = _resident_layers(net, arch)
-    in_group = _group_of(groups)
 
     schedules = []
     pb_offset = 0
-    for i, (l, entry) in enumerate(zip(binary, fit.entries)):
-        direction = "A->B" if i % 2 == 0 else "B->A"
+    for i, (l, entry, wins) in enumerate(zip(binary, fit.entries, windows)):
         feed = reads[i][0]
         streamed = l.name not in resident
         chunk_io = arch.memory.io_bits_per_cycle if streamed else None
         common = dict(
-            layer=l, index=i, direction=direction, feed=feed,
+            layer=l, index=i, feed=feed,
             active_banks=entry.active_banks,
             stream_params=streamed,
             parks_int_plane=(l.name + "#int") in records,
@@ -647,29 +620,16 @@ def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
             charge_output_io=(i == len(binary) - 1),
         )
         pb_offset += (l.weight_bits() + 16 * l.n_out) // 16
-        wins = [w[l.name] for w, _ in in_group[i][2]] if i in in_group else [full_window(l)]
-        plans = [LayerPlan(tile=t, n_tiles=len(wins), window=win,
-                           nest=_layer_nest(l, win, chunk_io), **common)
+        plans = [LayerPlan(tile=t, window=win, nest=_layer_nest(l, win, chunk_io), **common)
                  for t, win in enumerate(wins)]
-        spatial = [(wins[0].in_lo, wins[0].in_hi, 0)] + [
-            (w.in_lo, w.in_hi, max(0, a.in_hi - w.in_lo)) for a, w in zip(wins, wins[1:])]
-        schedules.append(Schedule(layer=l, index=i, plans=plans,
-                                  tile_plan=TilePlan(C_I_TILE, C_O_TILE, spatial, direction)))
+        schedules.append(Schedule(layer=l, plans=plans))
 
     # execution order: tile-major inside groups, layer order elsewhere
-    start = {j: g0 for j, (g0, _, _) in in_group.items()}
+    start = {j: g0 for g0, (g1, _) in groups.items() for j in range(g0, g1 + 1)}
     exec_order = sorted((pl for s in schedules for pl in s.plans),
                         key=lambda pl: (start.get(pl.index, pl.index), pl.tile, pl.index))
     return NetworkPlan(net=net, arch=arch, schedules=schedules,
                        exec_order=exec_order, fit=fit)
-
-
-def plan_layer(layer: LayerConfig, arch: ArchConfig, fm_dims: tuple[int, int, int]) -> Schedule:
-    """Single-layer plan on a fresh memory state (must fit one half)."""
-    c, h, w = fm_dims
-    net = NetworkDesc("layer", c, h, w, [layer])
-    plan = plan_network(net.validate(), arch)
-    return plan.schedules[0]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +643,8 @@ def _layer_events(plan: LayerPlan):
     name = l.name
     last_inner = (nest.bases - 1, len(nest.in_tiles) - 1)
     if tile == 0:
-        yield Event("SwapFMM", name, {"direction": plan.direction}, size=0)
+        direction = "A->B" if plan.index % 2 == 0 else "B->A"
+        yield Event("SwapFMM", name, {"direction": direction}, size=0)
     chunk_word = plan.pb_word_offset
     for b, (n_o, ct_o, base, n_i) in enumerate(nest.blocks()):
         words = nest.chunk_words(ct_o)

@@ -192,8 +192,9 @@ def test_criterion_7_schedule_reuse_invariants():
             continue
         nets += 1
         plan = plan_network(net, arch)
-        dirs = [s.tile_plan.fmm_direction for s in plan.schedules]
-        assert dirs == ["A->B" if i % 2 == 0 else "B->A" for i in range(len(dirs))]
+        dirs = [e.coords["direction"] for s in plan.schedules for e in s.events()
+                if e.kind == "SwapFMM"]
+        assert dirs == ["A->B" if i % 2 == 0 else "B->A" for i in range(len(plan.schedules))]
         for sched in plan.schedules:
             l = sched.layer
             chunks = [e for e in sched.events() if e.kind == "LoadFilterChunkToRowBanks"]
@@ -201,7 +202,7 @@ def test_criterion_7_schedule_reuse_invariants():
                     for e in chunks]
             assert len(keys) == len(set(keys))
             per_tile = len(channel_tiles(l.n_out)) * len(channel_tiles(l.n_in)) * l.bases
-            assert len(keys) == per_tile * sched.plans[-1].n_tiles
+            assert len(keys) == per_tile * len(sched.plans)
             words = set()
             for e in chunks:
                 if e.coords["tile"] != 0:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from bnnsim import scheduler
-from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch
+from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch, validate
+from bnnsim.errors import FitError
 from bnnsim.netio import (
     builtin_network,
     parse_network,
@@ -23,13 +24,15 @@ from bnnsim.scheduler import (
     C_O_TILE,
     INPUT_MAP,
     channel_tiles,
-    plan_layer,
+    full_window,
     plan_network,
 )
 from bnnsim.simulator import execute
 
 DATA = Path(__file__).parent / "data"
 TINY = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
+BUNDLED = ("vgg_like_cifar10", "resnet18_ilsvrc", "resnet18_ilsvrc_3x", "resnet18_ilsvrc_8x",
+           "alexnet_dorefa_ilsvrc", "sed_freesound")
 
 
 def single(net_layers, c, h, w):
@@ -98,7 +101,7 @@ def test_pb_chunk_loaded_once_per_iteration():
             l = sched.layer
             assert len(keys) == (
                 len(channel_tiles(l.n_out)) * len(channel_tiles(l.n_in)) * l.bases
-                * sched.plans[-1].n_tiles)
+                * len(sched.plans))
             # PB words within a layer are disjoint across chunk loads
             spans = [(e.word, e.word + e.size) for e in chunks if e.coords["tile"] == 0]
             spans.sort()
@@ -120,27 +123,57 @@ def test_pingpong_alternation():
     rng = np.random.default_rng(42)
     net = random_network(rng, n_layers=4)
     plan = plan_network(net, default_arch())
-    dirs = [s.tile_plan.fmm_direction for s in plan.schedules]
-    want = ["A->B" if i % 2 == 0 else "B->A" for i in range(len(dirs))]
-    assert dirs == want
     swaps = [e for s in plan.schedules for e in s.events() if e.kind == "SwapFMM"]
-    assert len(swaps) == len(plan.schedules)
+    dirs = [e.coords["direction"] for e in swaps]
+    assert dirs == ["A->B" if i % 2 == 0 else "B->A" for i in range(len(plan.schedules))]
 
 
 def test_plan_layer_and_spatial_tile_single():
     layer = LayerConfig(name="a", k=3, n_out=16)
-    sched = plan_layer(layer, default_arch(), (16, 8, 8))
-    assert len(sched.plans) == 1
-    tp = sched.tile_plan
-    assert len(tp.spatial_tiles) == 1
-    assert tp.spatial_tiles[0][2] == 0  # no overlap when untiled
+    plan = plan_network(single([layer], 16, 8, 8), default_arch())
+    (entry,) = plan.fit.entries
+    assert [pl.window for pl in plan.schedules[0].plans] == [full_window(layer)]
+    assert entry.tiles == 1 and entry.overlap_cols == 0  # no overlap when untiled
 
 
 def test_spatial_tile_oversized():
-    arch = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
-    tp = plan_layer(LayerConfig(name="a", k=3, n_out=16), arch, (16, 8, 80)).tile_plan
-    assert len(tp.spatial_tiles) >= 2
-    assert any(ov > 0 for _, _, ov in tp.spatial_tiles[1:])
+    plan = plan_network(single([LayerConfig(name="a", k=3, n_out=16)], 16, 8, 80), TINY)
+    (entry,) = plan.fit.entries
+    wins = [pl.window for pl in plan.schedules[0].plans]
+    assert entry.tiles == len(wins) >= 2
+    assert entry.overlap_cols == max(a.in_hi - b.in_lo for a, b in zip(wins, wins[1:])) > 0
+
+
+def _check_fit_agrees_with_plan(net, arch) -> str:
+    """`validate` and `plan_network` report the same fit, each entry's tile
+    count is its layer's plan count, and `needs_tiling` names exactly the
+    tiled layers and those that do not fit.  Returns how the net planned."""
+    report = validate(net, arch)
+    assert report.needs_tiling == [e.layer for e in report.entries if e.tiles > 1 or not e.fits]
+    assert report.fits_untiled == (not report.needs_tiling)
+    try:
+        plan = plan_network(net, arch)
+    except FitError:
+        return "unplanned"
+    assert report == plan.fit
+    assert [e.tiles for e in report.entries] == [len(s.plans) for s in plan.schedules]
+    return "tiled" if report.needs_tiling else "untiled"
+
+
+@pytest.mark.parametrize("arch", [default_arch(), TINY,
+                                  ArchConfig(memory=MemoryGeometry(fmm_src_banks=38,
+                                                                   fmm_snk_banks=38))],
+                         ids=["default", "1+1", "38+38"])
+def test_fit_report_agrees_with_plan_on_bundled_nets(arch):
+    kinds = Counter(_check_fit_agrees_with_plan(builtin_network(name), arch) for name in BUNDLED)
+    assert kinds["tiled"] + kinds["untiled"] >= 1
+
+
+def test_fit_report_agrees_with_plan_on_random_nets():
+    rng = np.random.default_rng(62)
+    kinds = Counter(_check_fit_agrees_with_plan(
+        random_network(rng, n_layers=int(rng.integers(1, 6))), TINY) for _ in range(120))
+    assert kinds["tiled"] >= 5 and kinds["untiled"] >= 5 and kinds["unplanned"] >= 1
 
 
 def test_trace_stable_across_runs():
