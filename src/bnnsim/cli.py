@@ -36,7 +36,10 @@ def _resolve_arch(path: str | None) -> ArchConfig:
         return default_arch()
     if Path(path).exists():
         return load_arch(path)
-    return builtin_arch(path)
+    try:
+        return builtin_arch(path)
+    except FileNotFoundError:
+        raise BnnSimError(f"no such arch file or bundled arch: {path!r}")
 
 
 def _resolve_net(name: str):
@@ -116,17 +119,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+def _parse_range(option: str, text: str) -> list[int]:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise FormatError(f"{option} {text!r}: want a list like 1,3,5 or a range like 4..48")
 
 
 def cmd_sweep(args) -> int:
     arch = _resolve_arch(args.arch)
-    kernels = _parse_range(args.kernel)
-    banks = _parse_range(args.banks)
+    kernels = _parse_range("--kernel", args.kernel)
+    banks = _parse_range("--banks", args.banks)
     f_clk = arch.op_point.f_clk
     lines = ["kernel,banks,gops,core_mw,tops_per_watt"]
     for k in kernels:
@@ -169,20 +175,26 @@ def cmd_report(args) -> int:
     lines = [",".join(cols)]
     for path in args.runfiles:
         kv = _scan_kv(path)
-        get = lambda key, d="0": kv.get(key, d)
+
+        def num(key: str) -> float:
+            try:
+                return float(kv.get(key, "0"))
+            except ValueError:
+                raise FormatError(f"{key} = {kv[key]!r} is not a number", path)
+
         lines.append(",".join([
-            get("net", Path(path).stem),
-            f"{float(get('graph_mop')):.1f}",
-            f"{100 * float(get('util_kernel_limited')):.1f}",
-            f"{float(get('gops')):.1f}",
-            f"{float(get('core_mw')):.3f}",
-            f"{float(get('io_mw')):.3f}",
-            f"{float(get('total_mw')):.3f}",
-            f"{float(get('core_uj')):.1f}",
-            f"{float(get('io_uj')):.1f}",
-            f"{float(get('energy_uj_per_inference')):.1f}",
-            f"{float(get('tops_per_watt')):.2f}",
-            f"{float(get('fps')):.1f}",
+            kv.get("net", Path(path).stem),
+            f"{num('graph_mop'):.1f}",
+            f"{100 * num('util_kernel_limited'):.1f}",
+            f"{num('gops'):.1f}",
+            f"{num('core_mw'):.3f}",
+            f"{num('io_mw'):.3f}",
+            f"{num('total_mw'):.3f}",
+            f"{num('core_uj'):.1f}",
+            f"{num('io_uj'):.1f}",
+            f"{num('energy_uj_per_inference'):.1f}",
+            f"{num('tops_per_watt'):.2f}",
+            f"{num('fps'):.1f}",
         ]))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -231,7 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BnnSimError as e:
+    except (BnnSimError, OSError) as e:   # OSError: a named file cannot be read or written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

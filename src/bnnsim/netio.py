@@ -200,18 +200,25 @@ def load_weights(path, net: NetworkDesc) -> dict:
     blob = path.read_bytes()
     if blob[:4] != WEIGHT_MAGIC:
         raise FormatError("not a weight blob (bad magic)", str(path))
+    try:
+        return _parse_weights(blob, net, str(path))
+    except (struct.error, ValueError) as e:   # a read past the end of the blob
+        raise FormatError(f"truncated weight blob: {e}", str(path)) from e
+
+
+def _parse_weights(blob: bytes, net: NetworkDesc, path: str) -> dict:
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported blob version {version}", str(path))
+        raise FormatError(f"unsupported blob version {version}", path)
     body, (crc,) = blob[6:-4], struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(body) != crc:
-        raise FormatError("checksum failure", str(path))
+        raise FormatError("checksum failure", path)
     off = 0
     (n_layers,) = struct.unpack_from("<H", body, off)
     off += 2
     binary = net.binary_layers()
     if n_layers != len(binary):
-        raise FormatError(f"blob has {n_layers} layers, network has {len(binary)}", str(path))
+        raise FormatError(f"blob has {n_layers} layers, network has {len(binary)}", path)
     weights = {}
     for l in binary:
         k, n_in, n_out, bases, th_kind, _ = struct.unpack_from("<HHHHBB", body, off)
@@ -219,7 +226,7 @@ def load_weights(path, net: NetworkDesc) -> dict:
         if (k, n_in, n_out, bases) != (l.k, l.n_in, l.n_out, l.bases):
             raise FormatError(
                 f"layer {l.name}: blob dims {(k, n_in, n_out, bases)} != "
-                f"network dims {(l.k, l.n_in, l.n_out, l.bases)}", str(path))
+                f"network dims {(l.k, l.n_in, l.n_out, l.bases)}", path)
         if th_kind == 0:
             t = np.frombuffer(body, "<i4", n_out, off).copy(); off += 4 * n_out
             flip = np.frombuffer(body, np.uint8, n_out, off).astype(bool); off += n_out
@@ -230,14 +237,14 @@ def load_weights(path, net: NetworkDesc) -> dict:
             off += 48 * n_out
             l.thresholds = fold_thresholds(raw, k * k * n_in)
         else:
-            raise FormatError(f"layer {l.name}: unknown threshold kind {th_kind}", str(path))
+            raise FormatError(f"layer {l.name}: unknown threshold kind {th_kind}", path)
         g = n_groups(n_in)
         count = bases * n_out * k * k * g
         w = np.frombuffer(body, "<u2", count, off).reshape(bases, n_out, k, k, g).copy()
         off += 2 * count
         weights[l.name] = w
     if off != len(body):
-        raise FormatError(f"{len(body) - off} trailing bytes", str(path))
+        raise FormatError(f"{len(body) - off} trailing bytes", path)
     return weights
 
 
@@ -260,9 +267,12 @@ def load_tensor(path) -> BinaryTensor:
     body, (crc,) = blob[6:-4], struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(body) != crc:
         raise FormatError("checksum failure", str(path))
-    c, h, w = struct.unpack_from("<HHH", body, 0)
-    words = np.frombuffer(body, "<u2", n_groups(c) * h * w, 6).reshape(n_groups(c), h, w).copy()
-    return BinaryTensor(c, h, w, words)
+    try:
+        c, h, w = struct.unpack_from("<HHH", body, 0)
+        words = np.frombuffer(body, "<u2", n_groups(c) * h * w, 6)
+    except (struct.error, ValueError) as e:   # a read past the end of the blob
+        raise FormatError(f"truncated tensor blob: {e}", str(path)) from e
+    return BinaryTensor(c, h, w, words.reshape(n_groups(c), h, w).copy())
 
 
 # ---------------------------------------------------------------------------

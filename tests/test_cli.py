@@ -1,5 +1,9 @@
 """Command-line surface: verify, run, sweep, report."""
 
+import struct
+import zlib
+
+import numpy as np
 import pytest
 
 from bnnsim.cli import main
@@ -133,3 +137,71 @@ def test_report_rejects_binary_file(tmp_path, capsys):
     rc = main(["report", str(blob)])
     assert rc == 2
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "{tmp}/missing.run"],
+    ["run", "vgg_like_cifar10", "--weights", "{tmp}/missing.bin"],
+    ["run", "vgg_like_cifar10", "--input", "{tmp}"],
+    ["run", "vgg_like_cifar10", "--arch", "no_such_arch"],
+    ["run", "vgg_like_cifar10", "--arch", "{tmp}"],
+], ids=["report-missing", "weights-missing", "input-directory", "arch-unknown", "arch-directory"])
+def test_unreadable_path_clean_error(tmp_path, capsys, argv):
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    assert rc == 2
+    assert argv[-1].format(tmp=tmp_path) in _one_error_line(capsys)
+
+
+TINY_NET = "network t\ninput 16 4 4\nlayer a k=1 out=16\n"
+
+
+def _truncated(blob: bytes) -> bytes:
+    """`blob` with the second half of its body cut off, under a valid checksum."""
+    body = blob[6:-4][: (len(blob) - 10) // 2]
+    return blob[:6] + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _short_weights(tmp_path):
+    from bnnsim.netio import parse_network, random_thresholds, random_weights, save_weights
+
+    net_file = tmp_path / "t.net"
+    net_file.write_text(TINY_NET)
+    net = parse_network(TINY_NET)
+    rng = np.random.default_rng(0)
+    random_thresholds(net, rng)
+    blob = tmp_path / "w.bin"
+    save_weights(blob, net, random_weights(net, rng))
+    blob.write_bytes(_truncated(blob.read_bytes()))
+    return ["run", str(net_file), "--weights", str(blob)], "truncated weight blob"
+
+
+def _short_tensor(tmp_path):
+    from bnnsim.netio import save_tensor
+    from bnnsim.tensors import BinaryTensor
+
+    net_file = tmp_path / "t.net"
+    net_file.write_text(TINY_NET)
+    blob = tmp_path / "x.bin"
+    save_tensor(blob, BinaryTensor(16, 4, 4))
+    blob.write_bytes(_truncated(blob.read_bytes()))
+    return ["run", str(net_file), "--input", str(blob)], "truncated tensor blob"
+
+
+def _non_numeric_report(tmp_path):
+    run_file = tmp_path / "bad.run"
+    run_file.write_text("# run report\nnet = t\ngraph_mop = abc\n")
+    return ["report", str(run_file)], "graph_mop = 'abc'"
+
+
+@pytest.mark.parametrize("case", [
+    _short_weights,
+    _short_tensor,
+    _non_numeric_report,
+    lambda _: (["sweep", "--kernel", "x"], "--kernel 'x'"),
+    lambda _: (["sweep", "--banks", "4.."], "--banks '4..'"),
+], ids=["weights-short-body", "tensor-short-body", "report-non-numeric", "sweep-kernel",
+        "sweep-banks"])
+def test_malformed_content_clean_error(tmp_path, capsys, case):
+    argv, message = case(tmp_path)
+    assert main(argv) == 2
+    assert message in _one_error_line(capsys)
