@@ -10,7 +10,7 @@ and seven row staging banks behind a crossbar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FitError, FormatError, ShapeError
@@ -89,9 +89,6 @@ class ArchConfig:
         if o.active_fmm_banks is not None and not 0 < o.active_fmm_banks <= m.fmm_banks_total:
             raise ShapeError(f"active_fmm_banks = {o.active_fmm_banks} is outside "
                              f"1..{m.fmm_banks_total} (the total FMM banks)")
-
-    def copy(self, **overrides) -> "ArchConfig":
-        return replace(self, **overrides)
 
 
 def default_arch() -> ArchConfig:
@@ -215,8 +212,6 @@ def _apply_key(obj, key: str, val: str) -> None:
         setattr(obj, key, entries)
     elif key == "active_fmm_banks":
         setattr(obj, key, None if val == "auto" else int(val))
-    elif isinstance(current, bool):
-        setattr(obj, key, val.lower() in ("1", "true", "yes"))
     elif isinstance(current, int):
         setattr(obj, key, int(val))
     elif isinstance(current, float) or current is None:

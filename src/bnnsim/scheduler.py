@@ -166,10 +166,6 @@ class Schedule:
         for plan in self.plans:
             yield from _layer_events(plan)
 
-    def dump_lines(self):
-        for ev in self.events():
-            yield ev.line()
-
 
 @dataclass
 class Event:
@@ -196,7 +192,6 @@ class Event:
 
 @dataclass
 class NetworkPlan:
-    net: NetworkDesc
     arch: ArchConfig
     schedules: list
     exec_order: list        # LayerPlans in execution order (tile-major in groups)
@@ -204,7 +199,8 @@ class NetworkPlan:
 
     def dump_lines(self):
         for sched in self.schedules:
-            yield from sched.dump_lines()
+            for ev in sched.events():
+                yield ev.line()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,6 @@ class NetworkPlan:
 @dataclass
 class _Record:
     name: str
-    kind: str          # 'map' or 'plane'
     half: int
     bytes: int
     producer: int      # binary layer index, -1 for the network input
@@ -238,9 +233,9 @@ def _reads(binary: list[LayerConfig]) -> list[tuple[str, str | None]]:
 def _build_records(net: NetworkDesc, binary: list[LayerConfig], reads) -> dict[str, _Record]:
     """Every map and parked int plane, live from its producer to its last reader."""
     c, h, w = net.sim_input_dims()
-    records = {INPUT_MAP: _Record(INPUT_MAP, "map", 0, map_bytes(c, h, w), -1, 0)}
+    records = {INPUT_MAP: _Record(INPUT_MAP, 0, map_bytes(c, h, w), -1, 0)}
     for i, l in enumerate(binary):
-        records[l.name] = _Record(l.name, "map", 1 - i % 2,
+        records[l.name] = _Record(l.name, 1 - i % 2,
                                   map_bytes(l.n_out, l.pooled_h, l.pooled_w), i, i)
     for j, (l, (feed, res)) in enumerate(zip(binary, reads)):
         records[feed].last_use = j
@@ -248,7 +243,7 @@ def _build_records(net: NetworkDesc, binary: list[LayerConfig], reads) -> dict[s
             src = records[res]
             s = binary[src.producer]
             plane = records.setdefault(res + "#int", _Record(
-                res + "#int", "plane", src.half, plane_bytes(s.n_out, s.out_h, s.out_w),
+                res + "#int", src.half, plane_bytes(s.n_out, s.out_h, s.out_w),
                 src.producer, j))
             plane.last_use = j
         elif res is not None:
@@ -501,14 +496,12 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
     for l in binary:
         if l.n_out <= 0 or l.n_in <= 0:
             raise FitError(f"layer {l.name}: zero-size layer")
-    unsupported = [l.name for l in binary if not arch.compute.kernel_ok(l.k)]
 
     reads = _reads(binary)
     records = _build_records(net, binary, reads)
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
-    # taken before the group slices are resized below: a resized slice or an
-    # extended lifetime is alive only inside its group, and a grouped
-    # layer's fit comes from its windows
+    # taken before the group slices are resized below: a resized slice or an extended
+    # lifetime is alive only inside its group, whose layers' fit comes from their windows
     halves = [_half_bytes(records.values(), i) for i in range(len(binary))]
     fits = [_within(h, caps) for h in halves]
     groups, untileable = _search_groups(net, arch, binary, reads, records, fits)
@@ -535,12 +528,11 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
                 rec.last_use = max(rec.last_use, g1)
     _assign_addresses(list(records.values()), arch, len(binary))
 
-    # each layer's column windows: one per stripe of its tiled group, else the whole map
     windows = [[full_window(l)] for l in binary]
     for g0, (g1, tiles) in groups.items():
         for j in range(g0, g1 + 1):
             windows[j] = [w[binary[j].name] for w, _ in tiles]
-    fit = _fit_report(net, arch, binary, halves, windows, unsupported)
+    fit = _fit_report(net, arch, binary, halves, fits, windows)
     return binary, reads, records, groups, windows, fit, untileable
 
 
@@ -549,34 +541,31 @@ def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
     return fit
 
 
-def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, windows,
-                unsupported) -> FitReport:
+def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, windows) -> FitReport:
     """Banks and fit per layer: an untiled layer counts every map alive in
     its source and sink halves, a tiled one its widest window's feed and
     output maps."""
-    caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
     bank = arch.memory.bank_bytes
     entries = []
     for i, (l, wins) in enumerate(zip(binary, windows)):
         src, snk = halves[i][i % 2], halves[i][1 - i % 2]
-        fits, overlap = _within(halves[i], caps), 0
+        overlap = 0
         if len(wins) > 1:
             src = max(map_bytes(l.n_in, l.in_h, w.in_w) for w in wins)
             snk = max(map_bytes(l.n_out, l.pooled_h, w.pout_w) for w in wins)
             overlap = max(max(a.in_hi - b.in_lo for a, b in zip(wins, wins[1:])), 0)
-            fits = True
         working = C_O_TILE * l.out_h * l.out_w * 2   # partial-sum tile plane
         banks_used = -(-src // bank) + -(-(snk + working) // bank)
         entries.append(FitEntry(
             layer=l.name, active_banks=min(banks_used, arch.memory.fmm_banks_total),
-            fits=fits, tiles=len(wins), overlap_cols=overlap))
+            fits=fits[i] or len(wins) > 1, tiles=len(wins), overlap_cols=overlap))
     needs_tiling = [e.layer for e in entries if e.tiles > 1 or not e.fits]
     resident = _resident_layers(net, arch)
     return FitReport(
         entries=entries,
         fits_untiled=not needs_tiling,
         needs_tiling=needs_tiling,
-        unsupported_kernels=unsupported,
+        unsupported_kernels=[l.name for l in binary if not arch.compute.kernel_ok(l.k)],
         weights_fit_pb=-(-net.param_bits() // 8) <= arch.memory.pb_bytes,
         streamed_param_bits=sum(l.weight_bits() + 16 * l.n_out
                                 for l in binary if l.name not in resident),
@@ -628,8 +617,7 @@ def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
     start = {j: g0 for g0, (g1, _) in groups.items() for j in range(g0, g1 + 1)}
     exec_order = sorted((pl for s in schedules for pl in s.plans),
                         key=lambda pl: (start.get(pl.index, pl.index), pl.tile, pl.index))
-    return NetworkPlan(net=net, arch=arch, schedules=schedules,
-                       exec_order=exec_order, fit=fit)
+    return NetworkPlan(arch=arch, schedules=schedules, exec_order=exec_order, fit=fit)
 
 
 # ---------------------------------------------------------------------------
