@@ -5,6 +5,10 @@ digests: one of `Stats.to_text()` (every counter, per layer run and per
 bank) and one of every binary layer's output words, in layer order.  A
 change that moves one modeled counter or one output bit fails here.
 
+The bipolar oracle is pinned too: one digest of every layer's
+`run_bipolar_reference` sums (`<i4`) and bits (`u1`), hashed in (C, H, W)
+order, so the digest does not depend on the memory order the oracle keeps.
+
 Each net's `arch.validate()` report is pinned too, on the default arch and
 on a 38+38-bank one on which resnet18_ilsvrc and sed_freesound tile: one
 digest of every report and entry field per arch.
@@ -21,7 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnnsim import ArchConfig, MemoryGeometry, default_arch, netio, run, validate
+from bnnsim import (ArchConfig, MemoryGeometry, default_arch, netio, run, run_bipolar_reference,
+                    validate)
 
 PINS = Path(__file__).parent / "data" / "bundled_pins.json"
 NETS = ("vgg_like_cifar10", "resnet18_ilsvrc", "resnet18_ilsvrc_3x", "resnet18_ilsvrc_8x",
@@ -45,7 +50,17 @@ def digests(name: str) -> dict:
     for l in net.binary_layers():
         words.update(np.ascontiguousarray(outputs[l.name].words, dtype="<u2").tobytes())
     return {"stats": hashlib.sha256(stats.to_text().encode()).hexdigest(),
-            "outputs": words.hexdigest(), "fit": fit_digests(net)}
+            "outputs": words.hexdigest(), "oracle": oracle_digest(net, x, weights),
+            "fit": fit_digests(net)}
+
+
+def oracle_digest(net, x, weights) -> str:
+    """Digest of every layer's oracle sums and bits, each in (C, H, W) order."""
+    h = hashlib.sha256()
+    for sums, bits in run_bipolar_reference(net, x, weights).values():
+        h.update(np.ascontiguousarray(sums, dtype="<i4").tobytes())
+        h.update(np.ascontiguousarray(bits, dtype="u1").tobytes())
+    return h.hexdigest()
 
 
 def fit_digests(net) -> dict:
