@@ -1,14 +1,15 @@
 """Independent brute-force reference in the bipolar (+/-1) domain.
 
-This path shares no convolution or pooling code with the packed-word
-implementation.  Tensors are unpacked via np.unpackbits into channels-first
-+/-1 arrays.  The correlation is an im2col GEMM per chunk of output rows:
-the k x k windows of the padded map copy into a float32 column matrix
-(k*k*n_in) x (rows*ow), which each block of output channels' float32
-(k, k, n_in) weight rows multiplies.  Every base is correlated and mapped
-back to a binary-domain sum on its own.  Pooling reduces integer sums
-directly.  The products are exact integers while k*k*n_in < 2**24.  It
-exists to cross-check both the functional model and the cycle simulator.
+This path shares no packed-word, convolution or pooling code with the
+simulator and the golden model.  Its own np.unpackbits unpacks tensors into
++/-1 maps kept channels-last: each is a (C, H, W) view of (H, W, C) memory.
+The correlation is an im2col GEMM per chunk of output rows: the k x k
+windows of the padded map copy into a float32 (rows*ow) x (k*k*n_in) column
+matrix, which multiplies each block of output channels' float32 (k, k, n_in)
+weight rows, transposed, into pixel-major int32 sums.  Every base is
+correlated and mapped back to a binary-domain sum on its own.  Pooling
+reduces integer sums directly.  The products are exact integers while
+k*k*n_in < 2**24.  It cross-checks both the golden model and the simulator.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ _COLUMN_CAP = 1 << 18
 
 
 def unpack_bipolar(t: BinaryTensor) -> np.ndarray:
-    """(C, H, W) int8 array of +/-1 values, unpacked via np.unpackbits."""
+    """(C, H, W) int8 array of +/-1 values, a view of channels-last
+    (H, W, lanes) memory, unpacked via np.unpackbits."""
     g, h, w = t.words.shape
-    bits = _unpack_words(t.words)  # (g, h, w, 16)
-    lanes = np.moveaxis(bits, 3, 1).reshape(g * LANES, h, w)[: t.channels]
-    return _to_bipolar(lanes)
+    bits = _unpack_words(t.words.transpose(1, 2, 0))  # (h, w, g, 16)
+    lanes = _to_bipolar(bits.reshape(h, w, g * LANES))
+    return lanes[..., : t.channels].transpose(2, 0, 1)
 
 
 def unpack_weights_bipolar(packed: np.ndarray, n_in: int) -> np.ndarray:
@@ -73,15 +75,16 @@ def bipolar_conv(
     x: np.ndarray, w: np.ndarray | PackedWeights, stride: int = 1, padding: str = "same0"
 ) -> np.ndarray:
     """Plain integer correlation of +/-1 arrays, padding with the pad bit's
-    bipolar value.  Returns int32 (n_out, oh, ow).
+    bipolar value.  Returns int32 (n_out, oh, ow), a view of (oh, ow, n_out).
 
-    `w` is (n_out, n_in, k, k) +/-1: an array, or `PackedWeights`, which
-    unpacks one block of output channels at a time.  For each chunk of output
-    rows, a window view of the padded map copies once into a float32
-    (k*k*n_in) x (rows*ow) column matrix; each block of output channels, as
-    float32 (k, k, n_in) rows, then takes one GEMM against it, which writes
-    its int32 sums in place.  Blocks convert again for each chunk, unless one
-    block holds every channel.
+    `x` is (n_in, h, w) in any memory order; `w` is (n_out, n_in, k, k) +/-1:
+    an array, or `PackedWeights`, which unpacks one block of output channels
+    at a time.  The map pads channels-last, and for each chunk of output rows
+    a window view of it copies once into a float32 (rows*ow) x (k*k*n_in)
+    column matrix; it takes one GEMM against each block of output channels'
+    float32 (k, k, n_in) rows, transposed, which writes their int32 sums in
+    place.  Blocks convert again for each chunk, unless one block holds every
+    channel.
     """
     n_out, n_in, k, _ = w.shape
     if x.shape[0] != n_in:
@@ -89,25 +92,28 @@ def bipolar_conv(
     kk = k * k * n_in
     if kk >= 1 << 24:  # past this, float32 sums stop being exact
         raise ShapeError(f"{k}x{k}x{n_in} taps exceed the exact float32 range")
+    x = x.transpose(1, 2, 0)  # channels-last
     if padding != "none":
-        p = (k - 1) // 2
-        fill = 1 if padding == "same1" else -1
-        x = np.pad(x, ((0, 0), (p, p), (p, p)), constant_values=fill)
-    x = np.ascontiguousarray(x)
-    oh = (x.shape[1] - k) // stride + 1
-    ow = (x.shape[2] - k) // stride + 1
-    sc, sy, sx = x.strides
-    win = np.ndarray((k, k, n_in, oh, ow), x.dtype, x, 0, (sy, sx, sc, stride * sy, stride * sx))
+        p, (h, wd) = (k - 1) // 2, x.shape[:2]
+        xp = np.full((h + 2 * p, wd + 2 * p, n_in), 1 if padding == "same1" else -1, x.dtype)
+        xp[p:p + h, p:p + wd] = x
+        x = xp
+    oh = (x.shape[0] - k) // stride + 1
+    ow = (x.shape[1] - k) // stride + 1
+    sy, sx, sc = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (oh, ow, k, k, n_in), (stride * sy, stride * sx, sy, sx, sc), writeable=False)
     m = _even_split(n_out, _WEIGHT_CAP // kk)
     rows = _even_split(oh, _COLUMN_CAP // (kk * ow))
     w_buf = np.empty(m * kk, dtype=np.float32)
-    cols = np.empty(kk * rows * ow, dtype=np.float32)
-    sums = np.empty((n_out, oh, ow), dtype=np.int32)
+    cols = np.empty(rows * ow * kk, dtype=np.float32)
+    sums = np.empty((oh, ow, n_out), dtype=np.int32)
+    flat = sums.reshape(oh * ow, n_out)
     for y0 in range(0, oh, rows):
-        src = win[:, :, :, y0:y0 + rows]
+        src = win[y0:y0 + rows]
         a = cols[:src.size].reshape(src.shape)
         np.copyto(a, src)
-        a = a.reshape(kk, -1)
+        a = a.reshape(-1, kk)
         for o0 in range(0, n_out, m):
             if y0 == 0 or m < n_out:
                 w_blk = w[o0:o0 + m].transpose(0, 2, 3, 1)  # contiguous when unpacked from words
@@ -115,9 +121,9 @@ def bipolar_conv(
                 np.copyto(w_f, w_blk)
                 w_f = w_f.reshape(len(w_f), kk)
                 del w_blk  # free an unpacked block before the next one unpacks
-            out = sums[o0:o0 + m, y0:y0 + rows].reshape(len(w_f), -1)
-            np.matmul(w_f, a, out=out, casting="unsafe")
-    return sums
+            out = flat[y0 * ow:y0 * ow + len(a), o0:o0 + len(w_f)]
+            np.matmul(a, w_f.T, out=out, casting="unsafe")
+    return sums.transpose(2, 0, 1)
 
 
 def _even_split(n: int, cap: int) -> int:
@@ -151,6 +157,21 @@ def _compare(values: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:
     return bits.view(np.uint8)
 
 
+def _pooled_bits(sums: np.ndarray, pool: str, th) -> np.ndarray:
+    """Output bits of a layer's sums; the pooling temporaries die on return."""
+    if pool == "none":
+        return _compare(sums, th.t, th.flip)
+    v = sums[:, : 2 * (sums.shape[1] // 2), : 2 * (sums.shape[2] // 2)]
+    a, b, c, d = v[:, 0::2, 0::2], v[:, 0::2, 1::2], v[:, 1::2, 0::2], v[:, 1::2, 1::2]
+    if pool == "avg":
+        return _compare(a.astype(np.int64) + b + c + d, th.t_pool, th.flip)
+    # real-domain max: plain max on sums for normal channels, min on
+    # flipped channels (their real value decreases with the sum)
+    lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return _compare(np.where(th.flip[:, None, None], lo, hi), th.t, th.flip)
+
+
 def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
     """Brute-force forward pass; returns {name: (sums int32 CxHxW, bits CxHxW)}."""
     results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -158,7 +179,7 @@ def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
 
     def bipolar_map(name: str) -> np.ndarray:
         """+/-1 output map of a layer; the input map for the external prefix."""
-        return _to_bipolar(results[name][1].copy()) if name in results else x_bip
+        return _to_bipolar(results[name][1].copy(order="K")) if name in results else x_bip
 
     current = x_bip
     for layer in net.binary_layers():
@@ -183,22 +204,6 @@ def run_bipolar_reference(net, x: BinaryTensor, weights: dict) -> dict:
             else:
                 sums = _accumulate(sums + bipolar_map(layer.residual), net)
 
-        th = layer.thresholds
-        if layer.pool == "max":
-            # real-domain max: plain max on sums for normal channels, min on
-            # flipped channels (their real value decreases with the sum)
-            v = sums[:, : 2 * (sums.shape[1] // 2), : 2 * (sums.shape[2] // 2)]
-            quads = np.stack(
-                [v[:, 0::2, 0::2], v[:, 0::2, 1::2], v[:, 1::2, 0::2], v[:, 1::2, 1::2]]
-            )
-            agg = np.where(th.flip[:, None, None], quads.min(0), quads.max(0))
-            bits = _compare(agg, th.t, th.flip)
-        elif layer.pool == "avg":
-            v = sums[:, : 2 * (sums.shape[1] // 2), : 2 * (sums.shape[2] // 2)].astype(np.int64)
-            s4 = v[:, 0::2, 0::2] + v[:, 0::2, 1::2] + v[:, 1::2, 0::2] + v[:, 1::2, 1::2]
-            bits = _compare(s4, th.t_pool, th.flip)
-        else:
-            bits = _compare(sums, th.t, th.flip)
-        results[layer.name] = (sums, bits)
+        results[layer.name] = (sums, _pooled_bits(sums, layer.pool, layer.thresholds))
         current = bipolar_map(layer.name)
     return results
