@@ -338,9 +338,9 @@ def layer_forward(
                              f"{(sums.channels, sums.height, ow)}")
         if isinstance(residual, IntTensor):
             sums.values += residual.values[:, :, lo:hi]
-        else:
-            part = residual.words[:, :, lo:hi]
-            sums.values += BinaryTensor(residual.channels, sums.height, hi - lo, part).to_bipolar()
+        else:  # channels-last +/-1 lanes into the sums' pixel-major base
+            base = sums.values.transpose(1, 2, 0)
+            base += _bipolar_lanes(residual.words[:, :, lo:hi].transpose(1, 2, 0), sums.channels)
         sums.check_range(acc_bits, acc_mode, f"layer {layer.name}: residual add")
     th = layer.thresholds
     if th is None:

@@ -186,8 +186,9 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
         outputs[l.name] = BinaryTensor(l.n_out, l.pooled_h, l.pooled_w,
                                        full_bits[l.name])
         if pl.parks_int_plane:
-            if l.name not in planes:
-                planes[l.name] = IntTensor(l.n_out, l.out_h, l.out_w)
+            if l.name not in planes:  # pixel-major, as the conv kernel writes its sums
+                hwc = np.zeros((l.out_h, l.out_w, l.n_out), dtype=np.int32)
+                planes[l.name] = IntTensor(l.n_out, l.out_h, l.out_w, hwc.transpose(2, 0, 1))
             planes[l.name].values[:, :, win.out_lo:win.out_hi] = res.sums.values
 
     stats.layers = [layer_stats[key] for key in sorted(layer_stats)]

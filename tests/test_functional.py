@@ -373,11 +373,16 @@ def column_ranges(ow, step):
 
 
 def residuals(rng, kind, n_out, oh, ow):
+    """The residual operands of one kind: an int plane in C order and as a
+    view of pixel-major memory (as the conv kernel and the simulator keep
+    them), or a packed binary map."""
     if kind == "int":
-        return IntTensor(n_out, oh, ow, rng.integers(-50, 50, size=(n_out, oh, ow)))
+        vals = rng.integers(-50, 50, size=(n_out, oh, ow)).astype(np.int32)
+        hwc = np.ascontiguousarray(vals.transpose(1, 2, 0)).transpose(2, 0, 1)
+        return [IntTensor(n_out, oh, ow, vals), IntTensor(n_out, oh, ow, hwc)]
     if kind == "binary":
-        return binarize_pack(rng.choice([-1, 1], size=(n_out, oh, ow)))
-    return None
+        return [binarize_pack(rng.choice([-1, 1], size=(n_out, oh, ow)))]
+    return [None]
 
 
 @pytest.mark.parametrize("w", [11, 12])
@@ -385,22 +390,29 @@ def residuals(rng, kind, n_out, oh, ow):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
 def test_layer_forward_column_range_is_that_slice_of_the_map(k, stride, padding, w):
+    # 5, 20 and 37 output channels: the last channel group of a binary
+    # residual holds 5 lanes and 11 masked ones, then 4 and 12, then 5 and 11
     rng = np.random.default_rng(300 + 10 * k + stride)
-    for pool, kind in [("none", None), ("none", "int"), ("none", "binary"),
-                       ("max", None), ("avg", "int"), ("max", "binary")]:
-        l, x, wts = column_layer(rng, k, stride, padding, pool, w=w)
+    for n_out, (pool, kind) in [(n, case) for n in (5, 20, 37) for case in [
+            ("none", None), ("none", "int"), ("none", "binary"),
+            ("max", None), ("avg", "int"), ("max", "binary")]]:
+        l, x, wts = column_layer(rng, k, stride, padding, pool, n_out=n_out, w=w)
         oh, ow = conv_out_hw(x.height, x.width, k, stride, padding != "none")
-        residual = residuals(rng, kind, l.n_out, oh, ow)
-        kept = None if residual is None else {f: np.copy(v) for f, v in vars(residual).items()}
-        whole = layer_forward(x, l, wts, residual)
-        step = 2 if pool != "none" else 1
-        for lo, hi in column_ranges(ow, step):
-            part = layer_forward(x, l, wts, residual, cols=(lo, hi))
-            assert np.array_equal(part.sums.values, whole.sums.values[:, :, lo:hi]), (lo, hi)
-            p0, p1 = (lo // 2, lo // 2 + (hi - lo) // 2) if pool != "none" else (lo, hi)
-            assert np.array_equal(part.bits.to_bits(), whole.bits.to_bits()[:, :, p0:p1])
-        if residual is not None:  # added into the sums, never into the residual
-            assert all(np.array_equal(v, kept[f]) for f, v in vars(residual).items())
+        wholes = []
+        for residual in residuals(rng, kind, n_out, oh, ow):
+            kept = None if residual is None else {f: np.copy(v) for f, v in vars(residual).items()}
+            whole = layer_forward(x, l, wts, residual)
+            step = 2 if pool != "none" else 1
+            for lo, hi in column_ranges(ow, step):
+                part = layer_forward(x, l, wts, residual, cols=(lo, hi))
+                assert np.array_equal(part.sums.values, whole.sums.values[:, :, lo:hi]), (lo, hi)
+                p0, p1 = (lo // 2, lo // 2 + (hi - lo) // 2) if pool != "none" else (lo, hi)
+                assert np.array_equal(part.bits.to_bits(), whole.bits.to_bits()[:, :, p0:p1])
+            if residual is not None:  # added into the sums, never into the residual
+                assert all(np.array_equal(v, kept[f]) for f, v in vars(residual).items())
+            wholes.append(whole.sums.values)
+        # a C-order int plane and a pixel-major view of the same values add alike
+        assert all(np.array_equal(v, wholes[0]) for v in wholes)
 
 
 def test_layer_forward_rejects_a_residual_narrower_than_its_columns():
