@@ -88,13 +88,6 @@ class BinaryTensor:
         lanes = unpack_lanes(self.words.transpose(1, 2, 0), self.channels)
         return np.ascontiguousarray(lanes.transpose(2, 0, 1))
 
-    def to_bipolar(self) -> np.ndarray:
-        """Unpack to int8 values in {-1, +1}."""
-        pm = self.to_bits().view(np.int8)  # a fresh array: convert in place
-        pm *= 2
-        pm -= 1
-        return pm
-
     def flatten(self) -> "BinaryTensor":
         """Reshape C x H x W to (H*W*C) x 1 x 1 without touching bit lanes.
 
@@ -107,9 +100,6 @@ class BinaryTensor:
         # (g, y, x) -> (y, x, g) then collapse
         flat = np.transpose(self.words, (1, 2, 0)).reshape(h * w * g, 1, 1)
         return BinaryTensor(self.channels * h * w, 1, 1, flat)
-
-    def word_count(self) -> int:
-        return int(self.words.size)
 
     def bit_equal(self, other: "BinaryTensor") -> bool:
         return (

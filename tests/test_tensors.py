@@ -38,7 +38,7 @@ def test_word_count_invariant():
     for c, h, w in [(1, 2, 3), (16, 4, 4), (17, 3, 5), (48, 2, 2)]:
         bits = rng.integers(0, 2, size=(c, h, w)).astype(np.uint8)
         t = BinaryTensor.from_bits(bits)
-        assert t.word_count() == -(-c // LANES) * h * w
+        assert t.words.size == -(-c // LANES) * h * w
 
 
 def test_trailing_bits_zero():
@@ -67,7 +67,7 @@ def test_pack_roundtrip():
         w = int(rng.integers(1, 9))
         bip = rng.choice([-1, 1], size=(c, h, w)).astype(np.int8)
         t = binarize_pack(bip)
-        assert np.array_equal(t.to_bipolar(), bip)
+        assert np.array_equal(t.to_bits(), bip > 0)
 
 
 def test_pack_unpack_match_per_bit_loops():
