@@ -177,10 +177,14 @@ def cmd_report(args) -> int:
         kv = _scan_kv(path)
 
         def num(key: str) -> float:
+            if key not in kv:
+                raise FormatError(f"no {key} line", path)
             try:
-                return float(kv.get(key, "0"))
+                if np.isfinite(value := float(kv[key])):
+                    return value
             except ValueError:
-                raise FormatError(f"{key} = {kv[key]!r} is not a number", path)
+                pass
+            raise FormatError(f"{key} = {kv[key]!r} is not a finite number", path)
 
         lines.append(",".join([
             kv.get("net", Path(path).stem),

@@ -193,14 +193,28 @@ def _non_numeric_report(tmp_path):
     return ["report", str(run_file)], "graph_mop = 'abc'"
 
 
+def _report_with(tmp_path, key, value):
+    """A full run report of vgg_like_cifar10 with `key` set to `value`, or
+    its line dropped when `value` is None."""
+    run_file = tmp_path / "edited.run"
+    assert main(["run", "vgg_like_cifar10", "--seed", "2", "--out", str(run_file)]) == 0
+    text = run_file.read_text()
+    line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    run_file.write_text(text.replace(f"{line}\n", "" if value is None else f"{key} = {value}\n", 1))
+    return ["report", str(run_file)]
+
+
 @pytest.mark.parametrize("case", [
     _short_weights,
     _short_tensor,
     _non_numeric_report,
+    lambda t: (_report_with(t, "fps", None), "no fps line"),
+    lambda t: (_report_with(t, "graph_mop", "nan"), "graph_mop = 'nan' is not a finite number"),
+    lambda t: (_report_with(t, "fps", "inf"), "fps = 'inf' is not a finite number"),
     lambda _: (["sweep", "--kernel", "x"], "--kernel 'x'"),
     lambda _: (["sweep", "--banks", "4.."], "--banks '4..'"),
-], ids=["weights-short-body", "tensor-short-body", "report-non-numeric", "sweep-kernel",
-        "sweep-banks"])
+], ids=["weights-short-body", "tensor-short-body", "report-non-numeric", "report-missing-key",
+        "report-nan", "report-inf", "sweep-kernel", "sweep-banks"])
 def test_malformed_content_clean_error(tmp_path, capsys, case):
     argv, message = case(tmp_path)
     assert main(argv) == 2
