@@ -123,6 +123,7 @@ class FitEntry:
     fits: bool
     tiles: int = 1
     overlap_cols: int = 0
+    streams_params: bool = False  # its weights and thresholds stream in from off chip
 
 
 @dataclass

@@ -532,7 +532,7 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
     for g0, (g1, tiles) in groups.items():
         for j in range(g0, g1 + 1):
             windows[j] = [w[binary[j].name] for w, _ in tiles]
-    fit = _fit_report(net, arch, binary, halves, fits, windows)
+    fit = _fit_report(net, arch, binary, halves, fits, windows, _resident_layers(binary, arch))
     return binary, reads, records, groups, windows, fit, untileable
 
 
@@ -541,10 +541,11 @@ def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
     return fit
 
 
-def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, windows) -> FitReport:
+def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, windows,
+                resident: set[str]) -> FitReport:
     """Banks and fit per layer: an untiled layer counts every map alive in
     its source and sink halves, a tiled one its widest window's feed and
-    output maps."""
+    output maps.  Layers outside `resident` stream their parameters."""
     bank = arch.memory.bank_bytes
     entries = []
     for i, (l, wins) in enumerate(zip(binary, windows)):
@@ -558,9 +559,9 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, window
         banks_used = -(-src // bank) + -(-(snk + working) // bank)
         entries.append(FitEntry(
             layer=l.name, active_banks=min(banks_used, arch.memory.fmm_banks_total),
-            fits=fits[i] or len(wins) > 1, tiles=len(wins), overlap_cols=overlap))
+            fits=fits[i] or len(wins) > 1, tiles=len(wins), overlap_cols=overlap,
+            streams_params=l.name not in resident))
     needs_tiling = [e.layer for e in entries if e.tiles > 1 or not e.fits]
-    resident = _resident_layers(net, arch)
     return FitReport(
         entries=entries,
         fits_untiled=not needs_tiling,
@@ -568,16 +569,16 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, window
         unsupported_kernels=[l.name for l in binary if not arch.compute.kernel_ok(l.k)],
         weights_fit_pb=-(-net.param_bits() // 8) <= arch.memory.pb_bytes,
         streamed_param_bits=sum(l.weight_bits() + 16 * l.n_out
-                                for l in binary if l.name not in resident),
+                                for l, e in zip(binary, entries) if e.streams_params),
     )
 
 
-def _resident_layers(net: NetworkDesc, arch: ArchConfig) -> set[str]:
+def _resident_layers(binary, arch: ArchConfig) -> set[str]:
     """Greedy first-fit parameter residency in layer order."""
     budget = arch.memory.pb_bytes * 8
     used = 0
     resident = set()
-    for l in net.binary_layers():
+    for l in binary:
         bits = l.weight_bits() + 16 * l.n_out
         if used + bits <= budget:
             resident.add(l.name)
@@ -590,18 +591,16 @@ def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
     binary, reads, records, groups, windows, fit, _ = _placement(net, arch)
     if fit.unsupported_kernels:
         raise FitError("unsupported kernel sizes on: " + ", ".join(fit.unsupported_kernels))
-    resident = _resident_layers(net, arch)
 
     schedules = []
     pb_offset = 0
     for i, (l, entry, wins) in enumerate(zip(binary, fit.entries, windows)):
         feed = reads[i][0]
-        streamed = l.name not in resident
-        chunk_io = arch.memory.io_bits_per_cycle if streamed else None
+        chunk_io = arch.memory.io_bits_per_cycle if entry.streams_params else None
         common = dict(
             layer=l, index=i, feed=feed,
             active_banks=entry.active_banks,
-            stream_params=streamed,
+            stream_params=entry.streams_params,
             parks_int_plane=(l.name + "#int") in records,
             feed_banks=records[feed].banks, out_banks=records[l.name].banks,
             pb_word_offset=pb_offset,
