@@ -6,10 +6,12 @@ simulator and the golden model.  Its own np.unpackbits unpacks tensors into
 The correlation is an im2col GEMM per chunk of output rows: the k x k
 windows of the padded map copy into a float32 (rows*ow) x (k*k*n_in) column
 matrix, which multiplies each block of output channels' float32 (k, k, n_in)
-weight rows, transposed, into pixel-major int32 sums.  Every base is
-correlated and mapped back to a binary-domain sum on its own.  Pooling
-reduces integer sums directly.  The products are exact integers while
-k*k*n_in < 2**24.  It cross-checks both the golden model and the simulator.
+weight rows, transposed (or, where the weights take several blocks, the
+columns copy transposed and the rows multiply them), into pixel-major int32
+sums.  Every base is correlated and mapped back to a binary-domain sum on
+its own.  Pooling reduces integer sums directly.  The products are exact
+integers while k*k*n_in < 2**24.  It cross-checks the golden model and the
+simulator.
 """
 
 from __future__ import annotations
@@ -80,10 +82,9 @@ def bipolar_conv(
     `x` is (n_in, h, w) in any memory order; `w` is (n_out, n_in, k, k) +/-1:
     an array, or `PackedWeights`, which unpacks one block of output channels
     at a time.  The map pads channels-last, and for each chunk of output rows
-    a window view of it copies once into a float32 (rows*ow) x (k*k*n_in)
-    column matrix; it takes one GEMM against each block of output channels'
-    float32 (k, k, n_in) rows, transposed, which writes their int32 sums in
-    place.  Blocks convert again for each chunk, unless one block holds every
+    a window view of it copies once into a float32 column matrix, which takes
+    one GEMM against each block of output channels' float32 (k, k, n_in)
+    rows.  Blocks convert again for each chunk, unless one block holds every
     channel.
     """
     n_out, n_in, k, _ = w.shape
@@ -109,11 +110,16 @@ def bipolar_conv(
     cols = np.empty(rows * ow * kk, dtype=np.float32)
     sums = np.empty((oh, ow, n_out), dtype=np.int32)
     flat = sums.reshape(oh * ow, n_out)
+    # Where the weights take several blocks, the columns copy transposed, (k*k*n_in) x
+    # (rows*ow), for each block's rows to multiply: that GEMM ran 10-20% faster on AlexNet
+    # and ResNet stage 3-4 shapes; with one block (sed, ResNet stages 1-2, random nets)
+    # the transposing copy cost more than the GEMM saved
+    tall = m < n_out
     for y0 in range(0, oh, rows):
-        src = win[y0:y0 + rows]
+        src = win[y0:y0 + rows].transpose(2, 3, 4, 0, 1) if tall else win[y0:y0 + rows]
         a = cols[:src.size].reshape(src.shape)
         np.copyto(a, src)
-        a = a.reshape(-1, kk)
+        a = a.reshape(kk, -1) if tall else a.reshape(-1, kk)
         for o0 in range(0, n_out, m):
             if y0 == 0 or m < n_out:
                 w_blk = w[o0:o0 + m].transpose(0, 2, 3, 1)  # contiguous when unpacked from words
@@ -121,8 +127,11 @@ def bipolar_conv(
                 np.copyto(w_f, w_blk)
                 w_f = w_f.reshape(len(w_f), kk)
                 del w_blk  # free an unpacked block before the next one unpacks
-            out = flat[y0 * ow:y0 * ow + len(a), o0:o0 + len(w_f)]
-            np.matmul(a, w_f.T, out=out, casting="unsafe")
+            out = flat[y0 * ow:(y0 + rows) * ow, o0:o0 + len(w_f)]  # this chunk's pixels
+            if tall:
+                np.copyto(out, (w_f @ a).T, casting="unsafe")
+            else:
+                np.matmul(a, w_f.T, out=out, casting="unsafe")
     return sums.transpose(2, 0, 1)
 
 

@@ -36,29 +36,47 @@ def window_sums(x, w, stride, padding):
     return out
 
 
-@pytest.mark.parametrize("k, stride, padding, n_in, n_out, h, w", [
+CONV_CASES = [
     (7, 2, "same1", 20, 10, 15, 13),
     (3, 1, "same0", 37, 9, 11, 6),
     (5, 1, "none", 3, 4, 9, 9),
     (1, 2, "same1", 17, 6, 7, 8),
-])
-def test_bipolar_conv_matches_window_sums(monkeypatch, k, stride, padding, n_in, n_out, h, w):
-    # caps of three output channels and three output rows split every case
-    # into several channel blocks and row chunks, the last ones short
+]
+
+
+def check_window_sums(monkeypatch, block, k, stride, padding, n_in, n_out, h, w):
+    """bipolar_conv, on an array and on `PackedWeights`, against window_sums,
+    with caps of `block` output channels and three output rows: every case
+    runs several row chunks, the last one short."""
     rng = np.random.default_rng(k * 100 + n_in)
     kk = k * k * n_in
     p = (k - 1) // 2 if padding != "none" else 0
     ow = (w + 2 * p - k) // stride + 1
-    monkeypatch.setattr(oracle, "_WEIGHT_CAP", 3 * kk)
+    monkeypatch.setattr(oracle, "_WEIGHT_CAP", block * kk)
     monkeypatch.setattr(oracle, "_COLUMN_CAP", 3 * kk * ow)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_in, h, w))
     packed = rng.integers(0, 1 << 16, size=(n_out, k, k, n_groups(n_in)), dtype=np.uint16)
     w_bip = np.ascontiguousarray(unpack_weights_bipolar(packed, n_in))
     want = window_sums(x, w_bip, stride, padding)
-    assert n_out > 3 and want.shape[1] > 3
+    assert want.shape[1] > 3
     assert np.array_equal(bipolar_conv(x, w_bip, stride=stride, padding=padding), want)
     got = bipolar_conv(x, PackedWeights(packed, n_in), stride=stride, padding=padding)
     assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k, stride, padding, n_in, n_out, h, w", CONV_CASES)
+def test_bipolar_conv_matches_window_sums(monkeypatch, k, stride, padding, n_in, n_out, h, w):
+    # three output channels a block: several blocks, the last one short, each
+    # multiplying the columns transposed, (k*k*n_in) x (rows*ow)
+    assert n_out > 3
+    check_window_sums(monkeypatch, 3, k, stride, padding, n_in, n_out, h, w)
+
+
+@pytest.mark.parametrize("k, stride, padding, n_in, n_out, h, w", CONV_CASES)
+def test_bipolar_conv_one_block_matches_window_sums(monkeypatch, k, stride, padding, n_in, n_out,
+                                                    h, w):
+    # one block holds every output channel: (rows*ow) x (k*k*n_in) columns
+    check_window_sums(monkeypatch, n_out, k, stride, padding, n_in, n_out, h, w)
 
 
 def test_to_binary_sum_rejects_odd_sums():
