@@ -532,7 +532,7 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
     for g0, (g1, tiles) in groups.items():
         for j in range(g0, g1 + 1):
             windows[j] = [w[binary[j].name] for w, _ in tiles]
-    fit = _fit_report(net, arch, binary, halves, fits, windows, _resident_layers(binary, arch))
+    fit = _fit_report(net, arch, binary, halves, fits, windows)
     return binary, reads, records, groups, windows, fit, untileable
 
 
@@ -541,13 +541,14 @@ def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
     return fit
 
 
-def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, windows,
-                resident: set[str]) -> FitReport:
+def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, windows) -> FitReport:
     """Banks and fit per layer: an untiled layer counts every map alive in
     its source and sink halves, a tiled one its widest window's feed and
-    output maps.  Layers outside `resident` stream their parameters."""
+    output maps.  Parameters are resident first-fit in layer order; the
+    layers whose parameters do not fit stream them."""
     bank = arch.memory.bank_bytes
     entries = []
+    pb_left = arch.memory.pb_bytes * 8
     for i, (l, wins) in enumerate(zip(binary, windows)):
         src, snk = halves[i][i % 2], halves[i][1 - i % 2]
         overlap = 0
@@ -557,10 +558,13 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, window
             overlap = max(max(a.in_hi - b.in_lo for a, b in zip(wins, wins[1:])), 0)
         working = C_O_TILE * l.out_h * l.out_w * 2   # partial-sum tile plane
         banks_used = -(-src // bank) + -(-(snk + working) // bank)
+        bits = l.weight_bits() + 16 * l.n_out
+        streams = bits > pb_left
+        pb_left -= 0 if streams else bits
         entries.append(FitEntry(
             layer=l.name, active_banks=min(banks_used, arch.memory.fmm_banks_total),
             fits=fits[i] or len(wins) > 1, tiles=len(wins), overlap_cols=overlap,
-            streams_params=l.name not in resident))
+            streams_params=streams))
     needs_tiling = [e.layer for e in entries if e.tiles > 1 or not e.fits]
     return FitReport(
         entries=entries,
@@ -571,19 +575,6 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, window
         streamed_param_bits=sum(l.weight_bits() + 16 * l.n_out
                                 for l, e in zip(binary, entries) if e.streams_params),
     )
-
-
-def _resident_layers(binary, arch: ArchConfig) -> set[str]:
-    """Greedy first-fit parameter residency in layer order."""
-    budget = arch.memory.pb_bytes * 8
-    used = 0
-    resident = set()
-    for l in binary:
-        bits = l.weight_bits() + 16 * l.n_out
-        if used + bits <= budget:
-            resident.add(l.name)
-            used += bits
-    return resident
 
 
 def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
