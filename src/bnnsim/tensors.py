@@ -84,9 +84,9 @@ class BinaryTensor:
         return cls(c, h, w, np.ascontiguousarray(words.transpose(2, 0, 1), dtype=np.uint16))
 
     def to_bits(self) -> np.ndarray:
-        """Unpack to a (C, H, W) uint8 array of 0/1 bits."""
-        lanes = unpack_lanes(self.words.transpose(1, 2, 0), self.channels)
-        return np.ascontiguousarray(lanes.transpose(2, 0, 1))
+        """Unpack to a (C, H, W) uint8 array of 0/1 bits, a view of
+        channels-last lanes, as the bipolar oracle keeps its maps."""
+        return unpack_lanes(self.words.transpose(1, 2, 0), self.channels).transpose(2, 0, 1)
 
     def flatten(self) -> "BinaryTensor":
         """Reshape C x H x W to (H*W*C) x 1 x 1 without touching bit lanes.
