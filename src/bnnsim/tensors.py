@@ -85,7 +85,7 @@ class BinaryTensor:
 
     def to_bits(self) -> np.ndarray:
         """Unpack to a (C, H, W) uint8 array of 0/1 bits, a view of
-        channels-last lanes, as the bipolar oracle keeps its maps."""
+        channels-last lanes."""
         return unpack_lanes(self.words.transpose(1, 2, 0), self.channels).transpose(2, 0, 1)
 
     def flatten(self) -> "BinaryTensor":
