@@ -19,9 +19,10 @@ from .errors import DegenerateChannel, ShapeError
 from .tensors import LANES, BinaryTensor, IntTensor, n_groups, unpack_lanes
 
 POOL_WINDOW = 4  # 2x2, stride 2
-_BUFFER_CAP = 1 << 17  # float32 entries (512 KB) in xnor_conv's window and product buffers
+_BUFFER_CAP = 1 << 19  # float32 entries (2 MB) in each of xnor_conv's window and product buffers
 _WEIGHT_CAP = 1 << 19  # float32 entries (2 MB) in its weight buffer
 _MIN_PIXELS = 128  # output pixels a row chunk's GEMM gets at least, where the map has them
+_MAX_PIXELS = 1024  # output pixels a row chunk's GEMM gets at most
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int = 1, padded: bool = True) -> tuple[int, int]:
@@ -181,9 +182,13 @@ def xnor_conv(
     output rows at a time, into a float32 buffer for one GEMM (im2col)
     against the summed weights.  Large layers split the taps, and then the
     output channels, into blocks whose partial dots add up in the result,
-    which is a (n_out, oh, ow) view of pixel-major sums, as the GEMMs write
-    them.  A GEMM's partial dots are integers of magnitude <= bases*k*k*n_in,
-    exact in float32 below 2**24; they add up, with the tap count, in int32.
+    which is a (n_out, oh, ow) view of pixel-major sums.  A GEMM multiplies
+    windows by weights, giving pixel-major dots; where a chunk has fewer
+    pixels than its block has channels (ResNet stage 4: 49 against 512) it
+    multiplies weights by windows, which BLAS runs faster there, and its
+    channel-major dots add in transposed.  A GEMM's partial dots are
+    integers of magnitude <= bases*k*k*n_in, exact in float32 below 2**24;
+    they add up, with the tap count, in int32.
     """
     weights = np.asarray(weights, dtype=np.uint16).reshape(-1, *np.shape(weights)[-4:])
     bases, n_out, n_in = weights.shape[0], weights.shape[1], x.channels
@@ -212,13 +217,17 @@ def xnor_conv(
 
     # Weight blocks of tu x tv taps by m output channels, converted once per
     # call; whole kernel rows first, then taps of one row, then channels.
-    # Taps split too where a row chunk would hold under _MIN_PIXELS pixels:
-    # shorter GEMMs ran at half the rate (AlexNet c2, 54 of 729 pixels).
+    # Taps split too where a row chunk would hold under _MIN_PIXELS pixels
+    # (past _BUFFER_CAP // _MIN_PIXELS taps): shorter GEMMs ran at half the
+    # rate (AlexNet c2, 54 of 729 pixels, with a 512 KB window buffer).
+    # Chunks stop at _MAX_PIXELS pixels: past that, a layer of few taps and
+    # channels (sed c1, 288 taps by 32) loses more to window copies and adds
+    # out of cache than its GEMMs gain.
     k_cap = min(_WEIGHT_CAP // n_out, _BUFFER_CAP // min(oh * ow, _MIN_PIXELS))
     tu = max(1, min(k, k_cap // (k * n_in)))
     tv = k if k * n_in <= k_cap else max(1, min(k, k_cap // n_in))
     m = max(1, min(n_out, _WEIGHT_CAP // (tu * tv * n_in)))
-    chunk = max(1, min(oh, _BUFFER_CAP // (ow * max(tu * tv * n_in, m))))
+    chunk = max(1, min(oh, _BUFFER_CAP // (ow * max(tu * tv * n_in, m)), _MAX_PIXELS // ow))
     w_buf = np.empty(m * tu * tv * n_in, dtype=np.float32)
     cols = np.empty(chunk * ow * tu * tv * n_in, dtype=np.float32)
     prod = np.empty(chunk * ow * m, dtype=np.float32)
@@ -236,7 +245,11 @@ def xnor_conv(
             a = cols[:src.size].reshape(src.shape)
             np.copyto(a, src)
             a = a.reshape(-1, w_sum.shape[1])
-            out = np.matmul(a, w_sum.T, out=prod[:len(a) * len(w_sum)].reshape(len(a), -1))
+            n = len(a) * len(w_sum)
+            if len(a) < len(w_sum):  # fewer pixels than channels: weights first
+                out = np.matmul(w_sum, a.T, out=prod[:n].reshape(len(w_sum), -1)).T
+            else:
+                out = np.matmul(a, w_sum.T, out=prod[:n].reshape(len(a), -1))
             block = sums[y0:y0 + chunk, :, o0:o0 + m]  # the first tap block writes it
             np.add(out.reshape(block.shape), block if u0 or v0 else taps, out=block,
                    dtype=np.int32, casting="unsafe")  # int32: taps + a partial dot may pass 2**24

@@ -195,28 +195,33 @@ def test_conv_stride2_unequal_phases(k):
 
 
 def test_conv_tall_map_spans_row_chunks():
-    # 16 x 300 x 8 at k=3: one output row's windows are 8 x 9 x 16 floats, so
-    # the window buffer holds 113 rows and the 300 rows run in three chunks,
-    # the last one short
-    assert 300 * 8 * 9 * 16 > functional._BUFFER_CAP
-    assert 300 % (functional._BUFFER_CAP // (8 * 9 * 16)) != 0
+    # 64 x 300 x 8 at k=3: one output row's windows are 8 x 9 x 64 floats, so
+    # the window buffer holds 113 rows (904 pixels, under the pixel ceiling) and
+    # the 300 rows run in three chunks, the last one short
+    assert 300 * 8 * 9 * 64 > functional._BUFFER_CAP
+    assert 300 % (functional._BUFFER_CAP // (8 * 9 * 64)) != 0
+    assert functional._BUFFER_CAP // (8 * 9 * 64) * 8 <= functional._MAX_PIXELS
     rng = np.random.default_rng(12)
-    x, w = random_operands(rng, 16, 300, 8, 16, 3)
+    x, w = random_operands(rng, 64, 300, 8, 4, 3)
     assert np.array_equal(xnor_conv(x, w, 3).values, per_bit_conv(x, w, 3, 1, "same0"))
 
 
 def blockings(ow, k, n_in, n_out):
-    """Settings of (window/product cap, weight cap, pixel floor) and the
-    blocking each must take: (rows per chunk or None for all, kernel rows
-    per weight block, taps of a row per block, output channels per block)."""
+    """Settings of (window/product cap, weight cap, pixel floor, pixel
+    ceiling) and the blocking each must take: (rows per chunk or None for
+    all, kernel rows per weight block, taps of a row per block, output
+    channels per block)."""
     big = 1 << 30
     return {
-        "row chunks": ((2 * ow * k * k * n_in, big, 1), (2, k, k, n_out)),
-        "kernel-row blocks": ((big, 2 * k * n_in * n_out, 1), (None, min(k, 2), k, n_out)),
-        "tap blocks": ((big, 2 * n_in * n_out, 1), (None, 1, min(k, 2), n_out)),
-        "channel blocks": ((big, 2 * n_in, 1), (None, 1, 1, 2)),
-        "chunks in blocks": ((2 * ow * n_in, 2 * n_in, 1), (2, 1, 1, 2)),
-        "pixel floor": ((2 * ow * k * n_in, big, 2 * ow), (2, 1, k, n_out)),
+        "row chunks": ((2 * ow * k * k * n_in, big, 1, big), (2, k, k, n_out)),
+        "kernel-row blocks": ((big, 2 * k * n_in * n_out, 1, big), (None, min(k, 2), k, n_out)),
+        "tap blocks": ((big, 2 * n_in * n_out, 1, big), (None, 1, min(k, 2), n_out)),
+        "channel blocks": ((big, 2 * n_in, 1, big), (None, 1, 1, 2)),
+        "chunks in blocks": ((2 * ow * n_in, 2 * n_in, 1, big), (2, 1, 1, 2)),
+        "pixel floor": ((2 * ow * k * n_in, big, 2 * ow, big), (2, 1, k, n_out)),
+        "pixel ceiling": ((big, big, 1, ow), (1, k, k, n_out)),
+        "pixel ceiling in tap blocks": ((big, 2 * n_in * n_out, 1, ow), (1, 1, min(k, 2), n_out)),
+        "pixel ceiling in channel blocks": ((big, 10 * n_in, 1, ow), (1, 1, 1, 10)),
     }
 
 
@@ -230,10 +235,14 @@ def block_sizes(n, size):
 def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
     # small caps force each blocking path in turn, each with a short last
     # row chunk, kernel-row block, tap block and channel block where it
-    # splits (13 rows and 5 channels in twos, kernel rows and taps of k > 1
-    # in twos); the GEMM shapes show the path is taken, and every path gives
-    # the per-word count
-    n_in, n_out, h, w = 17, 5, 13, 9
+    # splits (13 rows and 13 channels in twos, kernel rows and taps of k > 1
+    # in twos, 13 channels in a block of 10 and one of 3); the GEMM shapes
+    # show the path is taken, and every path gives the per-word count.  A
+    # chunk of fewer pixels than its block has channels multiplies weights
+    # by windows: one-row chunks under the pixel ceiling (9 or 5 pixels)
+    # against 13 or 10 channels always do, two-row chunks against 13
+    # channels do at stride 2 and in the short last chunk
+    n_in, n_out, h, w = 17, 13, 13, 9
     rng = np.random.default_rng(10 * k + stride + bases)
     x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
     wts = w1.reshape(bases, n_out, k, k, -1)
@@ -244,20 +253,32 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
     matmul = np.matmul
 
     def spy(a, b, **kw):
-        gemms.append((len(a), a.shape[1], b.shape[1]))  # (pixels, K, channels)
+        gemms.append((a.shape, b.shape))
         return matmul(a, b, **kw)
 
+    def gemm(pixels, taps, channels):
+        """Operand shapes of one GEMM: windows @ weights, or weights @
+        windows where the chunk has fewer pixels than the block channels."""
+        if pixels < channels:
+            return (channels, taps), (taps, pixels)
+        return (pixels, taps), (taps, channels)
+
     monkeypatch.setattr(np, "matmul", spy)
-    for name, ((buf, wcap, floor), (rows, tu, tv, m)) in blockings(ow, k, n_in, n_out).items():
+    weights_first = set()
+    for name, ((buf, wcap, floor, ceiling), (rows, tu, tv, m)) in blockings(
+            ow, k, n_in, n_out).items():
         monkeypatch.setattr(functional, "_BUFFER_CAP", buf)
         monkeypatch.setattr(functional, "_WEIGHT_CAP", wcap)
         monkeypatch.setattr(functional, "_MIN_PIXELS", floor)
+        monkeypatch.setattr(functional, "_MAX_PIXELS", ceiling)
         gemms.clear()
         assert np.array_equal(xnor_conv(x, wts, k, stride, "same1").values, want), name
-        expected = [(r * ow, u * v * n_in, mm) for mm in block_sizes(n_out, m)
-                    for u in block_sizes(k, tu) for v in block_sizes(k, tv)
-                    for r in block_sizes(oh, rows or oh)]
-        assert sorted(gemms) == sorted(expected), name
+        sizes = [(r * ow, u * v * n_in, mm) for mm in block_sizes(n_out, m)
+                 for u in block_sizes(k, tu) for v in block_sizes(k, tv)
+                 for r in block_sizes(oh, rows or oh)]
+        assert sorted(gemms) == sorted(gemm(*size) for size in sizes), name
+        weights_first |= {pixels < channels for pixels, _, channels in sizes}
+    assert weights_first == {False, True}  # both orders ran
 
 
 @pytest.mark.parametrize("n_out", [1, 5, 19, 100])
@@ -271,7 +292,8 @@ def test_conv_n_out_not_multiple_of_16(n_out):
 
 def test_conv_wide_layer_runs_short_channel_block():
     # at the shipped caps, 600 output channels of 1024 taps overflow the
-    # weight buffer, which holds 512 of them: blocks of 512 and 88 channels
+    # weight buffer, which holds 512 of them: blocks of 512 and 88 channels,
+    # each against a chunk of 2 pixels, so both GEMMs take the weights first
     assert 600 * 1024 > functional._WEIGHT_CAP == 512 * 1024
     rng = np.random.default_rng(600)
     x, w = random_operands(rng, 1024, 1, 2, 600, 1)
