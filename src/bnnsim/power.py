@@ -72,10 +72,6 @@ class CalibrationTable:
         gated, flag2 = self._interp(self.core_mw_gated, k)
         return full, gated, (flag1 or flag2)
 
-    def bank_slope_mw(self, k: int) -> float:
-        full, gated, _ = self.anchors(k)
-        return (full - gated) / (self.full_banks - self.gated_banks)
-
 
 def reference_ops_per_cycle(k: int, lanes: int = 16) -> int:
     return 2 * k * k * lanes
