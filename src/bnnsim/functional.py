@@ -6,6 +6,10 @@ All comparisons follow the hardware comparator: a channel output is -1
 (bit 0) strictly below its integer threshold and +1 (bit 1) otherwise.
 Channels whose folded affine scale is negative carry a `flip` flag that
 reverses the comparison direction.
+
+The epilogue (binarize, pool, pack) runs channels-last, as the conv kernel
+writes its sums: the bits of a layer's output are packed from pixel-major
+sums, and its words are a (groups, H, W) view of (H, W, groups) memory.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from .tensors import LANES, BinaryTensor, IntTensor, n_groups, unpack_lanes
 POOL_WINDOW = 4  # 2x2, stride 2
 _BUFFER_CAP = 1 << 19  # float32 entries (2 MB) in each of xnor_conv's window and product buffers
 _WEIGHT_CAP = 1 << 19  # float32 entries (2 MB) in its weight buffer
-_MIN_PIXELS = 128  # output pixels a row chunk's GEMM gets at least, where the map has them
 _MAX_PIXELS = 1024  # output pixels a row chunk's GEMM gets at most
+_ROW = 1 << 13  # sums per row of the epilogue's threshold compares
+_UINTS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}  # by width in bytes
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int = 1, padded: bool = True) -> tuple[int, int]:
@@ -217,13 +222,11 @@ def xnor_conv(
 
     # Weight blocks of tu x tv taps by m output channels, converted once per
     # call; whole kernel rows first, then taps of one row, then channels.
-    # Taps split too where a row chunk would hold under _MIN_PIXELS pixels
-    # (past _BUFFER_CAP // _MIN_PIXELS taps): shorter GEMMs ran at half the
-    # rate (AlexNet c2, 54 of 729 pixels, with a 512 KB window buffer).
+    # Taps split too where one row of windows would overflow _BUFFER_CAP.
     # Chunks stop at _MAX_PIXELS pixels: past that, a layer of few taps and
     # channels (sed c1, 288 taps by 32) loses more to window copies and adds
     # out of cache than its GEMMs gain.
-    k_cap = min(_WEIGHT_CAP // n_out, _BUFFER_CAP // min(oh * ow, _MIN_PIXELS))
+    k_cap = min(_WEIGHT_CAP // n_out, _BUFFER_CAP // ow)
     tu = max(1, min(k, k_cap // (k * n_in)))
     tv = k if k * n_in <= k_cap else max(1, min(k, k_cap // n_in))
     m = max(1, min(n_out, _WEIGHT_CAP // (tu * tv * n_in)))
@@ -257,18 +260,84 @@ def xnor_conv(
     return IntTensor(n_out, oh, ow, sums.transpose(2, 0, 1))
 
 
-def _compare_bits(values: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    """(C, H, W) bool: S >= T, or S < T on flipped channels."""
-    bits = values >= t[:, None, None]
-    bits ^= flip[:, None, None]
-    return bits
+def _pixel_major(sums: IntTensor) -> np.ndarray:
+    """(H, W, C) contiguous sums: a view of the conv kernel's pixel-major
+    sums, a copy of any other layout."""
+    return np.ascontiguousarray(sums.values.transpose(1, 2, 0))
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Channels-last (..., C) bits -> (..., groups) uint16 words, in one flat
+    np.packbits; the lanes past C are zero."""
+    c = bits.shape[-1]
+    lanes = n_groups(c) * LANES
+    if c < lanes:
+        padded = np.zeros((*bits.shape[:-1], lanes), dtype=bool)
+        padded[..., :c] = bits
+        bits = padded
+    words = np.packbits(bits.reshape(-1), bitorder="little").view("<u2")
+    return words.reshape(*bits.shape[:-1], -1)
+
+
+def _binarize(v: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Packed bits of contiguous channels-last sums v (..., C): S >= T, or
+    S < T on flipped channels, as (..., groups) uint16 words.
+
+    On maps of many pixels the sums compare in rows of r whole pixels,
+    against t and flip repeated r times, so numpy's inner loops run r*C
+    sums rather than C; the pixels after the last whole row compare against
+    the head of those rows."""
+    c = v.shape[-1]
+    flat = v.reshape(-1)
+    r = max(1, min(_ROW // c, len(flat) // (16 * c)))  # at least 16 rows
+    if r > 1:
+        t_row, f_row = np.empty((r, c), np.int32), np.empty((r, c), bool)
+        t_row[...] = t
+        f_row[...] = flip
+        t, flip = t_row.reshape(-1), f_row.reshape(-1)
+    bits = np.empty(v.shape, bool)
+    out = bits.reshape(-1)
+    n = len(flat) - len(flat) % len(t)
+    for src, dst in ((flat[:n], out[:n]), (flat[n:], out[n:])):
+        if len(src):
+            row = min(len(src), len(t))
+            dst = dst.reshape(-1, row)
+            np.greater_equal(src.reshape(-1, row), t[:row], out=dst)
+            dst ^= flip[:row]
+    return _pack(bits)
+
+
+def _or_halves(a: np.ndarray) -> np.ndarray:
+    """OR of the two halves of a's contiguous last axis, run on the widest
+    unsigned ints that split each half."""
+    half = a.shape[-1] * a.itemsize // 2
+    x = a.view(_UINTS[min(8, half & -half)])
+    m = x.shape[-1] // 2
+    return (x[..., :m] | x[..., m:]).view(a.dtype)
+
+
+def _binary_map(c: int, words: np.ndarray) -> BinaryTensor:
+    """A BinaryTensor over channels-last (H, W, groups) words, as a view."""
+    return BinaryTensor(c, words.shape[0], words.shape[1], words.transpose(2, 0, 1))
+
+
+def _pool_dims(sums: IntTensor, th: ThresholdVector) -> tuple[int, int]:
+    if sums.channels != len(th):
+        raise ShapeError(f"{sums.channels} channels vs {len(th)} thresholds")
+    ph, pw = sums.height // 2, sums.width // 2
+    if ph == 0 or pw == 0:
+        raise ShapeError(f"cannot 2x2-pool a {sums.height}x{sums.width} map")
+    return ph, pw
 
 
 def threshold_binarize(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
-    """Re-binarize integer sums: bit = (S >= T), or (S < T) on flipped channels."""
+    """Re-binarize integer sums: bit = (S >= T), or (S < T) on flipped channels.
+
+    Works channels-last: the sums are read pixel-major, and the result's
+    words are a (groups, H, W) view of (H, W, groups) memory."""
     if sums.channels != len(th):
         raise ShapeError(f"{sums.channels} channels vs {len(th)} thresholds")
-    return BinaryTensor.from_bits(_compare_bits(sums.values, th.t, th.flip))
+    return _binary_map(sums.channels, _binarize(_pixel_major(sums), th.t, th.flip))
 
 
 def binary_maxpool(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
@@ -276,16 +345,15 @@ def binary_maxpool(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
 
     Because each output bit is monotone in the underlying real value, the
     OR of the four bits equals binarizing the real-domain window maximum.
-    Odd trailing rows/columns are truncated.
+    Odd trailing rows/columns are truncated.  Channels-last, as
+    `threshold_binarize`: the rows the windows cover binarize and pack,
+    then pairs of word rows and of adjacent pixels' words are ORed.
     """
-    if sums.channels != len(th):
-        raise ShapeError(f"{sums.channels} channels vs {len(th)} thresholds")
-    ph, pw = sums.height // 2, sums.width // 2
-    if ph == 0 or pw == 0:
-        raise ShapeError(f"cannot 2x2-pool a {sums.height}x{sums.width} map")
-    b = _compare_bits(sums.values[:, : 2 * ph, : 2 * pw], th.t, th.flip)
-    pooled = b[:, 0::2, 0::2] | b[:, 0::2, 1::2] | b[:, 1::2, 0::2] | b[:, 1::2, 1::2]
-    return BinaryTensor.from_bits(pooled)
+    ph, pw = _pool_dims(sums, th)
+    words = _binarize(_pixel_major(sums)[:2 * ph], th.t, th.flip)
+    _, ow, g = words.shape
+    rows = _or_halves(words.reshape(ph, 2 * ow * g)).reshape(ph, ow, g)
+    return _binary_map(sums.channels, _or_halves(rows[:, :2 * pw].reshape(ph, pw, 2 * g)))
 
 
 def avg_pool_threshold(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
@@ -293,16 +361,17 @@ def avg_pool_threshold(sums: IntTensor, th: ThresholdVector) -> BinaryTensor:
 
     The 2x2 window sum is compared against the pre-scaled threshold
     `t_pool`, equivalent to averaging first and comparing against the
-    real threshold under the ceil rounding rule.
+    real threshold under the ceil rounding rule.  Channels-last, as
+    `threshold_binarize`: pairs of rows add as whole rows, in int64 (four
+    32-bit sums may pass 2**31), then pairs of adjacent pixels.
     """
-    if sums.channels != len(th):
-        raise ShapeError(f"{sums.channels} channels vs {len(th)} thresholds")
-    ph, pw = sums.height // 2, sums.width // 2
-    if ph == 0 or pw == 0:
-        raise ShapeError(f"cannot 2x2-pool a {sums.height}x{sums.width} map")
-    v = sums.values[:, : 2 * ph, : 2 * pw].astype(np.int64)
-    s4 = v[:, 0::2, 0::2] + v[:, 0::2, 1::2] + v[:, 1::2, 0::2] + v[:, 1::2, 1::2]
-    return BinaryTensor.from_bits(_compare_bits(s4, th.t_pool, th.flip))
+    ph, pw = _pool_dims(sums, th)
+    v = _pixel_major(sums)[:2 * ph]
+    _, ow, c = v.shape
+    v = v.reshape(ph, 2, ow, c)
+    rows = np.add(v[:, 0], v[:, 1], dtype=np.int64)[:, :2 * pw].reshape(ph, pw, 2 * c)
+    s4 = rows[..., :c] + rows[..., c:]
+    return _binary_map(c, _binarize(s4, th.t_pool, th.flip))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +410,13 @@ def layer_forward(
     if (len(weights) if np.ndim(weights) == 5 else 1) != layer.bases:
         raise ShapeError(f"layer {layer.name}: {np.shape(weights)} weights for {layer.bases} bases")
     sums = xnor_conv(x, weights, layer.k, layer.stride, layer.padding, cols)
-    sums.check_range(acc_bits, acc_mode, f"layer {layer.name}: partial sum")
+    # Popcount partial sums are non-negative, so the accumulator only grows
+    # over the blocks: one check (or clip) of the total equals one after
+    # every block.  The sums lie in [0, taps] and a +/-1 residual moves them
+    # by one: where that fits the accumulator no check can fire, so none runs.
+    taps, acc_max = layer.bases * layer.k * layer.k * x.channels, (1 << (acc_bits - 1)) - 1
+    if taps > acc_max:
+        sums.check_range(acc_bits, acc_mode, f"layer {layer.name}: partial sum")
     if residual is not None:
         lo, hi = cols or (0, sums.width)
         ow = conv_out_hw(x.height, x.width, layer.k, layer.stride, layer.padding != "none")[1]
@@ -354,7 +429,8 @@ def layer_forward(
         else:  # channels-last +/-1 lanes into the sums' pixel-major base
             base = sums.values.transpose(1, 2, 0)
             base += _bipolar_lanes(residual.words[:, :, lo:hi].transpose(1, 2, 0), sums.channels)
-        sums.check_range(acc_bits, acc_mode, f"layer {layer.name}: residual add")
+        if isinstance(residual, IntTensor) or taps + 1 > acc_max:
+            sums.check_range(acc_bits, acc_mode, f"layer {layer.name}: residual add")
     th = layer.thresholds
     if th is None:
         raise ShapeError(f"layer {layer.name} has no thresholds attached")

@@ -13,7 +13,10 @@ max pooling.  The nest counters are closed forms, not a walk of the nest.
 Outputs come from the golden model's own layer step,
 `functional.layer_forward`, run over each spatial tile's range of conv
 output columns; tests check them against the golden model and the
-independent bipolar oracle.
+independent bipolar oracle.  The host computes each conv column once: a
+tile runs only the columns no earlier tile of its layer ran, since its
+halo columns would come out the same.  The model still charges every
+tile its whole window, the recomputed halo included.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .arch import ArchConfig
 from .errors import FitError, ShapeError
-from .functional import LayerResult, layer_forward
+from .functional import layer_forward
 from .network import NetworkDesc
 from .scheduler import INPUT_MAP, PIPE_FILL, LayerPlan, NetworkPlan, plan_network
 from .stats import LayerStats, Stats
@@ -72,16 +75,10 @@ def _valid_taps(layer, win) -> tuple[int, int]:
     return inside(0, layer.out_h, layer.in_h), inside(win.out_lo, win.out_hi, layer.in_w)
 
 
-def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
-                    residual, net: NetworkDesc, arch: ArchConfig,
-                    bank_activity: dict) -> tuple[LayerResult, LayerStats]:
+def _tile_stats(plan: LayerPlan, arch: ArchConfig, bank_activity: dict) -> LayerStats:
+    """Counters of one (layer, tile) run over the tile's whole window, its
+    recomputed halo columns included."""
     l, win, nest = plan.layer, plan.window, plan.nest
-    # Bit-true sums and bits of every block at once, from the golden model's
-    # layer step over the tile's columns.  Popcount partial sums are
-    # non-negative, so the accumulator only grows over the blocks: one range
-    # check (or clip) of the total equals one after every block.
-    res = layer_forward(feed, l, weights, residual, net.acc_bits, net.acc_mode,
-                        (win.out_lo, win.out_hi))
     k, s = l.k, l.stride
     o_h, o_w, i_w = nest.o_h, nest.o_w, nest.in_w
 
@@ -110,14 +107,14 @@ def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
     )
 
     # residual accumulation at final write-back
-    if residual is not None:
+    if l.residual is not None:
         st.fmm_reads += (l.n_out if l.residual_mode == "int" else n_groups(l.n_out)) * o_h * o_w
         st.nmcu_rmw += l.n_out * o_h * o_w
     if l.pool == "max":
         st.cycles_pool += n_groups(l.n_out) * (o_h // 2) * win.pout_w
 
     # packed result write-back (+ residual parking)
-    out_words = n_groups(l.n_out) * res.bits.height * res.bits.width
+    out_words = n_groups(l.n_out) * l.pooled_h * win.pout_w
     st.fmm_writes += out_words
     if plan.parks_int_plane:
         st.fmm_writes += l.n_out * o_h * o_w
@@ -134,7 +131,7 @@ def _run_layer_tile(plan: LayerPlan, feed: BinaryTensor, weights: np.ndarray,
     _spread_bank_activity(bank_activity, plan.feed_banks, st.fmm_reads)
     _spread_bank_activity(bank_activity, plan.out_banks,
                           st.fmm_writes + 2 * st.nmcu_rmw)
-    return res, st
+    return st
 
 
 def _spread_bank_activity(activity: dict, span: tuple, count: int) -> None:
@@ -151,7 +148,10 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
     """Run a planned network; returns ({layer: BinaryTensor}, Stats).
 
     Tiled groups run tile-major; every layer's full output map is
-    reassembled so downstream layers and verification can read it.
+    reassembled so downstream layers and verification can read it.  A
+    tile's counters charge its whole window, halo included, but its layer
+    step runs only the conv columns no earlier tile computed, and a tile
+    left with none runs no layer step.
     """
     arch = arch or plan.arch
     stats = Stats(net=net.name)
@@ -165,31 +165,35 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
         raise ShapeError(f"input is {x.channels}x{x.height}x{x.width}, network "
                          f"{net.name} takes {'x'.join(map(str, net.sim_input_dims()))}")
 
-    full_bits: dict[str, np.ndarray] = {}
+    done: dict[str, int] = {}  # conv columns [0, done) computed, per layer
     for pl in plan.exec_order:
-        l = pl.layer
+        l, win = pl.layer, pl.window
+        layer_stats[(pl.index, pl.tile)] = _tile_stats(pl, arch, stats.bank_activity)
+        # Each tile reads its feed and residual from the stitched whole maps,
+        # so a halo column an earlier tile computed would come out the same:
+        # compute only the new columns.  A tiled pooled window ends at
+        # 2 * pout_hi, so `lo` stays even and the 2x2 windows on the map's grid.
+        lo = done.get(l.name, 0)
+        if lo >= win.out_hi:
+            continue
+        done[l.name] = win.out_hi
         feed = x if pl.feed == INPUT_MAP else outputs[pl.feed]
-
         residual = None
         if l.residual is not None:  # the whole plane or map; a tile reads its columns
             residual = planes[l.residual] if l.residual_mode == "int" else outputs.get(l.residual, x)
+        res = layer_forward(feed, l, weights[l.name], residual, net.acc_bits, net.acc_mode,
+                            (lo, win.out_hi))
 
-        res, st = _run_layer_tile(pl, feed, weights[l.name], residual,
-                                  net, arch, stats.bank_activity)
-        layer_stats[(pl.index, pl.tile)] = st
-
-        win = pl.window
-        if l.name not in full_bits:
-            full_bits[l.name] = np.zeros(
-                (n_groups(l.n_out), l.pooled_h, l.pooled_w), dtype=np.uint16)
-        full_bits[l.name][:, :, win.pout_lo:win.pout_hi] = res.bits.words
-        outputs[l.name] = BinaryTensor(l.n_out, l.pooled_h, l.pooled_w,
-                                       full_bits[l.name])
+        if l.name not in outputs:  # channels-last, as the layer step packs its bits
+            hwg = np.zeros((l.pooled_h, l.pooled_w, n_groups(l.n_out)), dtype=np.uint16)
+            outputs[l.name] = BinaryTensor(l.n_out, l.pooled_h, l.pooled_w, hwg.transpose(2, 0, 1))
+        plo = lo // 2 if l.pool != "none" else lo
+        outputs[l.name].words[:, :, plo:win.pout_hi] = res.bits.words
         if pl.parks_int_plane:
             if l.name not in planes:  # pixel-major, as the conv kernel writes its sums
                 hwc = np.zeros((l.out_h, l.out_w, l.n_out), dtype=np.int32)
                 planes[l.name] = IntTensor(l.n_out, l.out_h, l.out_w, hwc.transpose(2, 0, 1))
-            planes[l.name].values[:, :, win.out_lo:win.out_hi] = res.sums.values
+            planes[l.name].values[:, :, lo:win.out_hi] = res.sums.values
 
     stats.layers = [layer_stats[key] for key in sorted(layer_stats)]
     return outputs, stats

@@ -3,8 +3,9 @@
 Feature maps and weights hold bipolar values in {-1, +1}, stored as bits
 (bit 1 <-> +1, bit 0 <-> -1) packed 16 channels per 16-bit word.  Word
 layout is channel-group major, then row major: ``words[g, y, x]`` holds
-channels ``16*g .. 16*g+15`` of pixel ``(y, x)``.  Bits past the last real
-channel in the final group are always zero.
+channels ``16*g .. 16*g+15`` of pixel ``(y, x)``; the memory behind it may
+be channels-last, as the layer step packs its outputs.  Bits past the last
+real channel in the final group are always zero.
 """
 
 from __future__ import annotations

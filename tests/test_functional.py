@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bnnsim import functional
-from bnnsim.errors import DegenerateChannel, ShapeError
+from bnnsim.errors import AccumulatorOverflow, DegenerateChannel, ShapeError
 from bnnsim.functional import (
     BatchNorm,
     ThresholdVector,
@@ -207,21 +207,19 @@ def test_conv_tall_map_spans_row_chunks():
 
 
 def blockings(ow, k, n_in, n_out):
-    """Settings of (window/product cap, weight cap, pixel floor, pixel
-    ceiling) and the blocking each must take: (rows per chunk or None for
-    all, kernel rows per weight block, taps of a row per block, output
-    channels per block)."""
+    """Settings of (window/product cap, weight cap, pixel ceiling) and the
+    blocking each must take: (rows per chunk or None for all, kernel rows
+    per weight block, taps of a row per block, output channels per block)."""
     big = 1 << 30
     return {
-        "row chunks": ((2 * ow * k * k * n_in, big, 1, big), (2, k, k, n_out)),
-        "kernel-row blocks": ((big, 2 * k * n_in * n_out, 1, big), (None, min(k, 2), k, n_out)),
-        "tap blocks": ((big, 2 * n_in * n_out, 1, big), (None, 1, min(k, 2), n_out)),
-        "channel blocks": ((big, 2 * n_in, 1, big), (None, 1, 1, 2)),
-        "chunks in blocks": ((2 * ow * n_in, 2 * n_in, 1, big), (2, 1, 1, 2)),
-        "pixel floor": ((2 * ow * k * n_in, big, 2 * ow, big), (2, 1, k, n_out)),
-        "pixel ceiling": ((big, big, 1, ow), (1, k, k, n_out)),
-        "pixel ceiling in tap blocks": ((big, 2 * n_in * n_out, 1, ow), (1, 1, min(k, 2), n_out)),
-        "pixel ceiling in channel blocks": ((big, 10 * n_in, 1, ow), (1, 1, 1, 10)),
+        "row chunks": ((2 * ow * k * k * n_in, big, big), (2, k, k, n_out)),
+        "kernel-row blocks": ((big, 2 * k * n_in * n_out, big), (None, min(k, 2), k, n_out)),
+        "tap blocks": ((big, 2 * n_in * n_out, big), (None, 1, min(k, 2), n_out)),
+        "channel blocks": ((big, 2 * n_in, big), (None, 1, 1, 2)),
+        "chunks in blocks": ((2 * ow * n_in, 2 * n_in, big), (2, 1, 1, 2)),
+        "pixel ceiling": ((big, big, ow), (1, k, k, n_out)),
+        "pixel ceiling in tap blocks": ((big, 2 * n_in * n_out, ow), (1, 1, min(k, 2), n_out)),
+        "pixel ceiling in channel blocks": ((big, 10 * n_in, ow), (1, 1, 1, 10)),
     }
 
 
@@ -265,11 +263,10 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
 
     monkeypatch.setattr(np, "matmul", spy)
     weights_first = set()
-    for name, ((buf, wcap, floor, ceiling), (rows, tu, tv, m)) in blockings(
+    for name, ((buf, wcap, ceiling), (rows, tu, tv, m)) in blockings(
             ow, k, n_in, n_out).items():
         monkeypatch.setattr(functional, "_BUFFER_CAP", buf)
         monkeypatch.setattr(functional, "_WEIGHT_CAP", wcap)
-        monkeypatch.setattr(functional, "_MIN_PIXELS", floor)
         monkeypatch.setattr(functional, "_MAX_PIXELS", ceiling)
         gemms.clear()
         assert np.array_equal(xnor_conv(x, wts, k, stride, "same1").values, want), name
@@ -449,6 +446,64 @@ def test_layer_forward_rejects_a_residual_narrower_than_its_columns():
 
 
 # ---------------------------------------------------------------------------
+# layer_forward's accumulator range
+# ---------------------------------------------------------------------------
+
+def spy_range_checks(monkeypatch):
+    """The `what` of every IntTensor.check_range call, in call order."""
+    seen = []
+    check = IntTensor.check_range
+
+    def spy(self, acc_bits=16, mode="error", what="partial sum"):
+        seen.append(what)
+        return check(self, acc_bits, mode, what)
+
+    monkeypatch.setattr(IntTensor, "check_range", spy)
+    return seen
+
+
+def test_layer_forward_checks_the_range_only_where_the_bound_can_pass_it(monkeypatch):
+    # 1 x 1 taps over n_in channels: popcount sums lie in [0, n_in], a binary
+    # residual moves them by one, and a 10-bit accumulator holds up to 511;
+    # an int residual is always checked against the data
+    seen = spy_range_checks(monkeypatch)
+    rng = np.random.default_rng(320)
+    for n_in, kind, want in [
+            (510, None, []), (510, "binary", []),
+            (511, None, []), (511, "binary", ["residual add"]),
+            (512, None, ["partial sum"]), (512, "binary", ["partial sum", "residual add"]),
+            (8, "int", ["residual add"])]:
+        l, x, wts = column_layer(rng, 1, 1, "same0", n_in=n_in, h=3, w=4)
+        residual = residuals(rng, kind, l.n_out, 3, 4)[0]
+        seen.clear()
+        layer_forward(x, l, wts, residual, acc_bits=10)
+        assert seen == [f"layer a: {what}" for what in want], (n_in, kind)
+
+
+def test_layer_forward_past_the_bound_raises_or_saturates():
+    # 8 bits hold up to 127, and 3 x 3 taps over 32 channels sum to about 144:
+    # the data check raises, or the sums clip before and after the residual
+    rng = np.random.default_rng(321)
+    l, x, wts = column_layer(rng, 3, 1, "same0", n_in=32, n_out=16, h=6, w=7)
+    conv = xnor_conv(x, wts, 3).values
+    assert conv.max() > 127
+    with pytest.raises(AccumulatorOverflow, match="layer a: partial sum"):
+        layer_forward(x, l, wts, acc_bits=8)
+    for kind in ("int", "binary"):
+        residual = residuals(rng, kind, 16, 6, 7)[0]
+        got = layer_forward(x, l, wts, residual, acc_bits=8, acc_mode="saturate")
+        add = residual.values if kind == "int" else 2 * residual.to_bits().astype(np.int32) - 1
+        want = np.clip(np.clip(conv, -128, 127) + add, -128, 127)
+        assert np.array_equal(got.sums.values, want), kind
+        assert np.array_equal(got.bits.to_bits(), per_channel_epilogue(want, l.thresholds, "none"))
+    # sums that fit, with an int residual that does not
+    l, x, wts = column_layer(rng, 1, 1, "same0", n_in=8, h=3, w=4)
+    big = IntTensor(l.n_out, 3, 4, np.full((l.n_out, 3, 4), 200, dtype=np.int32))
+    with pytest.raises(AccumulatorOverflow, match="layer a: residual add"):
+        layer_forward(x, l, wts, big, acc_bits=8)
+
+
+# ---------------------------------------------------------------------------
 # derive_threshold
 # ---------------------------------------------------------------------------
 
@@ -598,6 +653,47 @@ def test_avgpool_matches_average_then_compare():
         ge = avg >= t[:, None, None]
         want = np.where(flip[:, None, None], ~ge, ge).astype(np.uint8)
         assert np.array_equal(got, want)
+
+
+def per_channel_epilogue(sums, th, pool):
+    """(C, H', W') 0/1 bits of (C, H, W) sums, one channel at a time."""
+    out = []
+    for c in range(len(sums)):
+        v = sums[c].astype(np.int64)
+        t, flip = (th.t_pool[c], th.flip[c]) if pool == "avg" else (th.t[c], th.flip[c])
+        if pool != "none":
+            h, w = v.shape[0] // 2 * 2, v.shape[1] // 2 * 2
+            quads = [v[dy:h:2, dx:w:2] for dy in (0, 1) for dx in (0, 1)]
+            if pool == "avg":
+                v = sum(quads)
+            else:  # OR of the four window bits
+                out.append(np.any([(q >= t) != flip for q in quads], axis=0))
+                continue
+        out.append((v >= t) != flip)
+    return np.array(out, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("c", [1, 5, 16, 17, 32, 48, 512])
+def test_epilogue_matches_per_channel_loop(c):
+    # odd H and W; 37 x 41 = 1517 and 11 x 13 = 143 pixels have no divisor
+    # near the compare rows' length in pixels, so a short last row runs too;
+    # sums as the conv kernel keeps them (a view of pixel-major memory) and
+    # in C order, with about a third of the channels flipped
+    h, w = (11, 13) if c == 512 else (37, 41)
+    rng = np.random.default_rng(c)
+    vals = rng.integers(-5, 300, size=(c, h, w)).astype(np.int32)
+    th = ThresholdVector(rng.integers(0, 300, size=c), rng.random(c) < 0.3,
+                         rng.integers(0, 1200, size=c))
+    pixel_major = np.ascontiguousarray(vals.transpose(1, 2, 0)).transpose(2, 0, 1)
+    for step, pool in [(threshold_binarize, "none"), (binary_maxpool, "max"),
+                       (avg_pool_threshold, "avg")]:
+        want = per_channel_epilogue(vals, th, pool)
+        for layout in (vals, pixel_major):
+            got = step(IntTensor(c, h, w, layout), th)
+            assert (got.channels, got.height, got.width) == want.shape, pool
+            assert np.array_equal(got.to_bits(), want), pool
+            # the lanes past the last channel are zero in every word
+            assert np.array_equal(got.words, BinaryTensor.from_bits(want).words), pool
 
 
 def test_unpack_bipolar_roundtrip():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bnnsim import simulator
 from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch
 from bnnsim.errors import AccumulatorOverflow, FitError
 from bnnsim.functional import ThresholdVector, run_network_reference
@@ -316,6 +317,67 @@ def test_tiled_execution_bit_identical():
         rep = verify_against_oracle(net, x, w, tiny)
         assert rep.equal, rep.first_divergence
     assert hits >= 5  # the tiny memory must actually force tiling
+
+
+def criterion_8_tiled_cases(n):
+    """The first n nets of criterion 8's stream that tile on the 1+1-bank
+    arch (the same draws, in the same order), with their operands."""
+    tiny = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
+    rng = np.random.default_rng(808)
+    cases = []
+    while len(cases) < n:
+        net = random_network(rng, n_layers=int(rng.integers(1, 4)), max_hw=16, max_channels=64)
+        random_thresholds(net, rng)
+        w = random_weights(net, rng)
+        x = random_input(net, rng)
+        try:
+            plan = plan_network(net, tiny)
+        except FitError:
+            continue
+        if any(len(s.plans) > 1 for s in plan.schedules):
+            cases.append((net, plan, w, x))
+    return cases
+
+
+def test_tiles_compute_each_conv_column_once(monkeypatch):
+    # each tile runs the layer step only over conv columns no earlier tile of
+    # that layer ran: per layer the ranges are disjoint, in order and cover
+    # every column a window covers, while the counters still charge every
+    # tile's whole window (the bundled pins hold them)
+    calls = []
+    step = simulator.layer_forward
+
+    def spy(x, layer, *args):
+        calls.append((layer.name, args[-1]))
+        return step(x, layer, *args)
+
+    monkeypatch.setattr(simulator, "layer_forward", spy)
+    net = builtin_network("sed_freesound")
+    rng = np.random.default_rng(3)
+    random_thresholds(net, rng)
+    cases = [(net, plan_network(net, default_arch()), random_weights(net, rng),
+              random_input(net, rng))] + criterion_8_tiled_cases(30)
+    skipped, pooled_starts = 0, []
+    for net, plan, w, x in cases:
+        calls.clear()
+        outputs, _ = execute(plan, net, x, w)
+        golden = run_network_reference(net, x, w)
+        assert all(outputs[l.name].bit_equal(golden[l.name].bits) for l in net.binary_layers())
+        if net.name == "sed_freesound":  # tile 1 of c1-c3 starts where tile 0 ended
+            assert calls == [("c1", (0, 37)), ("c2", (0, 36)), ("c3", (0, 17)), ("c4", (0, 16)),
+                             ("c1", (37, 64)), ("c2", (36, 64)), ("c3", (17, 32)),
+                             ("c4", (16, 32)), ("c5", (0, 16)), ("p1", (0, 16)), ("p2", (0, 16))]
+        skipped += len(plan.exec_order) - len(calls)
+        for l in net.binary_layers():
+            ranges = [cols for name, cols in calls if name == l.name]
+            covered = max(pl.window.out_hi for pl in plan.exec_order if pl.layer is l)
+            # a tiled pooled layer leaves out an odd last column no window pools
+            assert covered == l.out_w or (l.pool != "none" and covered == 2 * l.pooled_w)
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]], ranges
+            assert ranges[-1][1] == covered
+            pooled_starts += [lo for lo, _ in ranges[1:] if l.pool != "none"]
+    assert skipped > 0  # some tile had no new columns left
+    assert pooled_starts and all(lo % 2 == 0 for lo in pooled_starts)
 
 
 def test_multibase_layer_equivalence():
