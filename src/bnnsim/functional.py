@@ -401,7 +401,8 @@ def layer_forward(
     `residual` is the whole parked int plane or the whole binary map of the
     layer's conv output; its columns [lo, hi) add, as integers or as +/-1,
     into the sums in place.  The conv sums, then the sums with the residual,
-    are checked against (or saturated to) the `acc_bits` accumulator.
+    are checked against (or saturated to) the `acc_bits` accumulator, each
+    where its bound could pass it: an int residual's sums always are.
     """
     if getattr(layer, "flatten", False):
         x = x.flatten()
