@@ -50,10 +50,6 @@ class MemoryGeometry:
         banks = self.fmm_src_banks if half == 0 else self.fmm_snk_banks
         return banks * self.bank_bytes
 
-    @classmethod
-    def with_total_banks(cls, total: int, **kw) -> "MemoryGeometry":
-        return cls(fmm_src_banks=total // 2, fmm_snk_banks=total - total // 2, **kw)
-
 
 @dataclass
 class OperatingPoint:

@@ -46,12 +46,6 @@ class CalibrationTable:
                 raise BnnSimError(f"gating must reduce power for kernel {k}")
         return self
 
-    @property
-    def per_bank_static_mw(self) -> float:
-        """Derived from the two largest-kernel operating points."""
-        k = max(self.core_mw_full)
-        return (self.core_mw_full[k] - self.core_mw_gated[k]) / (self.full_banks - self.gated_banks)
-
     def _interp(self, table: dict, k: int) -> tuple[float, bool]:
         """Anchor power for kernel k; linear in k*k outside the table."""
         if k in table:

@@ -489,7 +489,7 @@ def _search_groups(net, arch, binary, reads, records, fits) -> tuple[dict, list[
     return dict(sorted(groups.items())), untileable
 
 
-def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
+def _placement(net: NetworkDesc, arch: ArchConfig):
     arch.check()
     net.validate()
     binary = net.binary_layers()
@@ -505,9 +505,6 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
     halves = [_half_bytes(records.values(), i) for i in range(len(binary))]
     fits = [_within(h, caps) for h in halves]
     groups, untileable = _search_groups(net, arch, binary, reads, records, fits)
-    if strict and untileable:
-        raise FitError(f"layers {', '.join(binary[j].name for j in untileable)} do not fit "
-                       f"the feature-map memory even with single-column tiles")
 
     # size the tile slices, and the output of a group that ends the network
     # (it streams off chip per tile), at their widest tile; the maps a group
@@ -537,7 +534,7 @@ def _placement(net: NetworkDesc, arch: ArchConfig, strict: bool = True):
 
 
 def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
-    _, _, _, _, _, fit, _ = _placement(net, arch, strict=False)
+    _, _, _, _, _, fit, _ = _placement(net, arch)
     return fit
 
 
@@ -579,7 +576,10 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, window
 
 def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
     """Plan every layer; raises FitError if the network cannot be placed."""
-    binary, reads, records, groups, windows, fit, _ = _placement(net, arch)
+    binary, reads, records, groups, windows, fit, untileable = _placement(net, arch)
+    if untileable:
+        raise FitError(f"layers {', '.join(binary[j].name for j in untileable)} do not fit "
+                       f"the feature-map memory even with single-column tiles")
     if fit.unsupported_kernels:
         raise FitError("unsupported kernel sizes on: " + ", ".join(fit.unsupported_kernels))
 

@@ -9,6 +9,9 @@ visible filter chunk loads when double buffering cannot hide them, the
 first rows of each (n_o, base, n_i) block, one cycle per layer for the
 source/sink swap, and one cycle per 2x2 window per 16-channel word for
 max pooling.  The nest counters are closed forms, not a walk of the nest.
+The counters come from `cost(plan, net)`, which reads the plan and the
+net's structure only, so a modeled number needs no weights, thresholds
+or input.
 
 Outputs come from the golden model's own layer step,
 `functional.layer_forward`, run over each spatial tile's range of conv
@@ -50,13 +53,6 @@ class VerifyReport:
     equal: bool
     first_divergence: tuple | None   # (layer, channel, y, x)
     layers_checked: int
-    stats: Stats
-
-    def to_text(self) -> str:
-        if self.equal:
-            return f"equal over {self.layers_checked} layers\n"
-        layer, c, y, x = self.first_divergence
-        return f"DIVERGENCE at layer {layer}, channel {c}, pixel ({y},{x})\n"
 
 
 def _valid_taps(layer, win) -> tuple[int, int]:
@@ -75,7 +71,7 @@ def _valid_taps(layer, win) -> tuple[int, int]:
     return inside(0, layer.out_h, layer.in_h), inside(win.out_lo, win.out_hi, layer.in_w)
 
 
-def _tile_stats(plan: LayerPlan, arch: ArchConfig, bank_activity: dict) -> LayerStats:
+def _tile_stats(plan: LayerPlan, lanes: int) -> LayerStats:
     """Counters of one (layer, tile) run over the tile's whole window, its
     recomputed halo columns included."""
     l, win, nest = plan.layer, plan.window, plan.nest
@@ -89,7 +85,7 @@ def _tile_stats(plan: LayerPlan, arch: ArchConfig, bank_activity: dict) -> Layer
     row_words = blocks * nest.rows_used * i_w
     vy_sum, vx_sum = _valid_taps(l, win)
     st = LayerStats(
-        name=l.name, k=k, lanes=arch.compute.lanes_per_unit, tile=plan.tile,
+        name=l.name, k=k, lanes=lanes, tile=plan.tile,
         active_banks=plan.active_banks,
         ops_graph=2 * k * k * l.n_in * l.n_out * o_h * o_w * l.bases,
         cycles_compute=segments * o_w,
@@ -127,10 +123,6 @@ def _tile_stats(plan: LayerPlan, arch: ArchConfig, bank_activity: dict) -> Layer
         st.io_bits += 16 * n_groups(l.n_in) * l.in_h * i_w
     if plan.charge_output_io:
         st.io_bits += 16 * out_words
-
-    _spread_bank_activity(bank_activity, plan.feed_banks, st.fmm_reads)
-    _spread_bank_activity(bank_activity, plan.out_banks,
-                          st.fmm_writes + 2 * st.nmcu_rmw)
     return st
 
 
@@ -143,32 +135,44 @@ def _spread_bank_activity(activity: dict, span: tuple, count: int) -> None:
         activity[b] = activity.get(b, 0) + share + (b - b0 < rest)
 
 
+def cost(plan: NetworkPlan, net: NetworkDesc) -> Stats:
+    """Modeled counters of one frame through a planned network.
+
+    One layer run per (layer, tile), in layer order and, within a layer,
+    in tile order; each charges its tile's whole window, halo included.
+    Only the plan, its arch and the net's name are read: no weights,
+    thresholds or input."""
+    stats = Stats(net=net.name)
+    lanes = plan.arch.compute.lanes_per_unit
+    for sched in plan.schedules:
+        for pl in sched.plans:
+            st = _tile_stats(pl, lanes)
+            _spread_bank_activity(stats.bank_activity, pl.feed_banks, st.fmm_reads)
+            _spread_bank_activity(stats.bank_activity, pl.out_banks,
+                                  st.fmm_writes + 2 * st.nmcu_rmw)
+            stats.layers.append(st)
+    return stats
+
+
 def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
             weights: dict, arch: ArchConfig | None = None) -> tuple[dict, Stats]:
-    """Run a planned network; returns ({layer: BinaryTensor}, Stats).
+    """Run a planned network; returns ({layer: BinaryTensor}, cost(plan, net)).
 
     Tiled groups run tile-major; every layer's full output map is
     reassembled so downstream layers and verification can read it.  A
-    tile's counters charge its whole window, halo included, but its layer
-    step runs only the conv columns no earlier tile computed, and a tile
-    left with none runs no layer step.
+    tile's layer step runs only the conv columns no earlier tile
+    computed, and a tile left with none runs no layer step.  `arch` feeds
+    no counter: the counters read `plan.arch`.
     """
-    arch = arch or plan.arch
-    stats = Stats(net=net.name)
     outputs: dict[str, BinaryTensor] = {}
     planes: dict[str, IntTensor] = {}
-    layer_stats: dict[tuple, LayerStats] = {}
-    binary = net.binary_layers()
-    if not binary:
-        return outputs, stats
-    if (x.channels, x.height, x.width) != net.sim_input_dims():
+    if net.binary_layers() and (x.channels, x.height, x.width) != net.sim_input_dims():
         raise ShapeError(f"input is {x.channels}x{x.height}x{x.width}, network "
                          f"{net.name} takes {'x'.join(map(str, net.sim_input_dims()))}")
 
     done: dict[str, int] = {}  # conv columns [0, done) computed, per layer
     for pl in plan.exec_order:
         l, win = pl.layer, pl.window
-        layer_stats[(pl.index, pl.tile)] = _tile_stats(pl, arch, stats.bank_activity)
         # Each tile reads its feed and residual from the stitched whole maps,
         # so a halo column an earlier tile computed would come out the same:
         # compute only the new columns.  A tiled pooled window ends at
@@ -195,8 +199,7 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
                 planes[l.name] = IntTensor(l.n_out, l.out_h, l.out_w, hwc.transpose(2, 0, 1))
             planes[l.name].values[:, :, lo:win.out_hi] = res.sums.values
 
-    stats.layers = [layer_stats[key] for key in sorted(layer_stats)]
-    return outputs, stats
+    return outputs, cost(plan, net)
 
 
 def run(net: NetworkDesc, x: BinaryTensor, weights: dict,
@@ -206,12 +209,12 @@ def run(net: NetworkDesc, x: BinaryTensor, weights: dict,
     return outputs, stats, plan
 
 
-def utilization(stats: Stats, arch: ArchConfig | None = None) -> UtilizationReport:
+def utilization(stats: Stats, arch: ArchConfig) -> UtilizationReport:
     """Both published ratios, ops-weighted across layer runs."""
     if not stats.layers or stats.cycles_total == 0:
         raise FitError("utilization of an empty or zero-cycle run")
-    lanes = arch.compute.lanes_per_unit if arch else 16
-    full_peak = 2 * (arch.compute.n_bpu * arch.compute.xnor_units_per_bpu if arch else 49) * lanes
+    c = arch.compute
+    full_peak = 2 * c.n_bpu * c.xnor_units_per_bpu * c.lanes_per_unit
     w_ops = 0
     acc_k = 0.0
     acc_f = 0.0
@@ -233,9 +236,9 @@ def verify_against_oracle(net: NetworkDesc, x: BinaryTensor, weights: dict,
     from .functional import run_network_reference
 
     if not net.binary_layers():
-        return VerifyReport(True, None, 0, Stats(net=net.name))
+        return VerifyReport(True, None, 0)
     plan = plan_network(net, arch)
-    outputs, stats = execute(plan, net, x, weights, arch)
+    outputs, _ = execute(plan, net, x, weights, arch)
     golden = run_network_reference(net, x, weights)
     for l in net.binary_layers():
         got = outputs[l.name].to_bits()
@@ -243,5 +246,5 @@ def verify_against_oracle(net: NetworkDesc, x: BinaryTensor, weights: dict,
         if not np.array_equal(got, want):
             diff = np.argwhere(got != want)[0]
             return VerifyReport(False, (l.name, int(diff[0]), int(diff[1]), int(diff[2])),
-                                len(net.binary_layers()), stats)
-    return VerifyReport(True, None, len(net.binary_layers()), stats)
+                                len(net.binary_layers()))
+    return VerifyReport(True, None, len(net.binary_layers()))

@@ -1,5 +1,5 @@
-"""Cycle and access counters produced by execution, consumed by the
-power model and reports.  All counters are exact integers."""
+"""Cycle and access counters produced by `simulator.cost`, consumed by
+the power model and reports.  All counters are exact integers."""
 
 from __future__ import annotations
 
@@ -97,40 +97,3 @@ class Stats:
             for bank in sorted(self.bank_activity):
                 lines.append(f"{bank},{self.bank_activity[bank]}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Stats":
-        stats = cls()
-        rows = iter(text.splitlines())
-        header = None
-        section = ""
-        for line in rows:
-            line = line.strip()
-            if not line:
-                continue
-            if line == "[layers]":
-                section = "layers"
-                header = next(rows).split(",")
-                continue
-            if line == "[banks]":
-                section = "banks"
-                next(rows)
-                continue
-            if section == "banks":
-                bank, _, count = line.partition(",")
-                stats.bank_activity[int(bank)] = int(count)
-                continue
-            if header is None:
-                key, _, val = line.partition(" = ")
-                if key == "net":
-                    stats.net = val
-                elif key == "seed":
-                    stats.seed = int(val)
-                continue
-            vals = line.split(",")
-            kw = dict(zip(header, vals))
-            ls = LayerStats(name=kw.pop("name"), k=int(kw.pop("k")))
-            for key, val in kw.items():
-                setattr(ls, key, int(val))
-            stats.layers.append(ls)
-        return stats

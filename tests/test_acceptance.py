@@ -23,7 +23,7 @@ from bnnsim.netio import (
 from bnnsim.oracle import run_bipolar_reference
 from bnnsim.power import core_power, efficiency, full_report, ideal_point
 from bnnsim.scheduler import channel_tiles, plan_network
-from bnnsim.simulator import run, utilization, verify_against_oracle
+from bnnsim.simulator import cost, run, utilization, verify_against_oracle
 from bnnsim.network import LayerConfig, NetworkDesc
 
 F_CLK = 154e6
@@ -100,13 +100,11 @@ def test_criterion_3_peak_throughput():
     """Simulated unpadded steady-state layers hit 1568/800/288 ops/cycle;
     at 154 MHz that is within 0.5% of the published 241/123/44.3 GOPS."""
     arch = default_arch()
-    rng = np.random.default_rng(31337)
     details = []
     for k, want_opc, want_gops in ((7, 1568, 241e9), (5, 800, 123e9), (3, 288, 44.3e9)):
         net = NetworkDesc("peak", 16, k + 6, 64,
                           [LayerConfig(name="a", k=k, n_out=16, padding="none")]).validate()
-        random_thresholds(net, rng)
-        _, stats, _ = run(net, random_input(net, rng), random_weights(net, rng), arch)
+        stats = cost(plan_network(net, arch), net)
         opc = stats.xnor_ops_done / stats.cycles_compute
         gops = opc * F_CLK
         assert opc == want_opc, f"k={k}: {opc} ops/cycle"
@@ -141,18 +139,14 @@ def test_criterion_5_network_desk_scale():
     """VGG-like CIFAR-10 shape: exactly 46.2 MOp by graph arithmetic and
     core energy within 25% of 1.3 uJ; ResNet-18 sustains 23.4 GOPS +-15%."""
     arch = default_arch()
-    rng = np.random.default_rng(99)
     vgg = builtin_network("vgg_like_cifar10")
     mop = vgg.op_count()["total_mop"]
     assert round(mop, 1) == 46.2, f"graph arithmetic gives {mop}"
-    random_thresholds(vgg, rng)
-    _, stats, _ = run(vgg, random_input(vgg, rng), random_weights(vgg, rng), arch)
-    rep = full_report(arch, stats)
+    rep = full_report(arch, cost(plan_network(vgg, arch), vgg))
     assert abs(rep.core_uj - 1.3) / 1.3 < 0.25, f"VGG core energy {rep.core_uj:.2f} uJ"
 
     rn = builtin_network("resnet18_ilsvrc")
-    random_thresholds(rn, rng)
-    _, stats_r, _ = run(rn, random_input(rn, rng), random_weights(rn, rng), arch)
+    stats_r = cost(plan_network(rn, arch), rn)
     gops = stats_r.xnor_ops_done / stats_r.time_s(F_CLK) / 1e9
     assert abs(gops - 23.4) / 23.4 < 0.15, f"ResNet-18 sustained {gops:.1f} GOPS"
     util = utilization(stats_r, arch).util_kernel_limited
@@ -167,10 +161,8 @@ def test_criterion_6_multibase_linearity():
     energies = {}
     for name, bases in (("resnet18_ilsvrc", 1), ("resnet18_ilsvrc_3x", 3),
                         ("resnet18_ilsvrc_8x", 8)):
-        rng = np.random.default_rng(7)
         net = builtin_network(name)
-        random_thresholds(net, rng)
-        _, stats, _ = run(net, random_input(net, rng), random_weights(net, rng), arch)
+        stats = cost(plan_network(net, arch), net)
         energies[bases] = full_report(arch, stats).energy_uj_per_inference
     r3 = energies[3] / energies[1]
     r8 = energies[8] / energies[1]

@@ -148,14 +148,9 @@ def test_arch_file_errors():
 def test_calibration_invariants():
     calib = default_arch().calib
     assert abs(sum(calib.breakdown.values()) - 1.0) < 1e-9
-    assert abs(calib.per_bank_static_mw - (1.3 - 1.08) / 44) < 1e-12
+    full, gated, _ = calib.anchors(7)
+    assert abs((full - gated) / (calib.full_banks - calib.gated_banks) - (1.3 - 1.08) / 44) < 1e-12
     with pytest.raises(BnnSimError):
         bad = default_arch().calib
         bad.breakdown = dict(bad.breakdown, other=0.5)
         bad.check()
-
-
-def test_48k_memory_helper():
-    m = MemoryGeometry.with_total_banks(48)
-    assert (m.fmm_src_banks, m.fmm_snk_banks) == (24, 24)
-    assert m.bank_bytes == 1024

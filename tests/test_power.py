@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bnnsim.arch import default_arch
-from bnnsim.netio import random_network, random_thresholds, random_weights, random_input
+from bnnsim.netio import random_network
 from bnnsim.power import (
     CalibrationTable,
     core_power,
@@ -15,7 +15,8 @@ from bnnsim.power import (
     reference_mem_rate,
     reference_ops_per_cycle,
 )
-from bnnsim.simulator import run
+from bnnsim.scheduler import plan_network
+from bnnsim.simulator import cost
 from bnnsim.stats import LayerStats, Stats
 
 F_CLK = 154e6
@@ -124,10 +125,7 @@ def test_components_sum_to_core():
     arch = default_arch()
     for _ in range(5):
         net = random_network(rng)
-        random_thresholds(net, rng)
-        w = random_weights(net, rng)
-        x = random_input(net, rng)
-        _, stats, _ = run(net, x, w, arch)
+        stats = cost(plan_network(net, arch), net)
         mw, comp, _ = core_power(arch, stats)
         assert sum(comp.values()) == pytest.approx(mw, rel=1e-12)
         assert set(comp) == {"memory", "interconnect", "compute", "control", "other"}
@@ -137,8 +135,7 @@ def test_energy_power_identity():
     rng = np.random.default_rng(71)
     arch = default_arch()
     net = random_network(rng)
-    random_thresholds(net, rng)
-    _, stats, _ = run(net, random_input(net, rng), random_weights(net, rng), arch)
+    stats = cost(plan_network(net, arch), net)
     rep = full_report(arch, stats)
     t = stats.time_s(F_CLK)
     assert rep.energy_uj_per_inference == pytest.approx(
@@ -169,7 +166,6 @@ def test_bank_slope_per_kernel():
     calib = CalibrationTable()
     assert bank_slope(calib, 7) == pytest.approx(0.005)
     assert bank_slope(calib, 5) == pytest.approx((1.2 - 0.99) / 44)
-    assert calib.per_bank_static_mw == pytest.approx(0.005)
 
 
 def test_reference_rates():

@@ -20,7 +20,7 @@ from bnnsim.netio import (
 from bnnsim.network import LayerConfig, NetworkDesc
 from bnnsim.oracle import run_bipolar_reference
 from bnnsim.scheduler import plan_network
-from bnnsim.simulator import _valid_taps, execute, run, utilization, verify_against_oracle
+from bnnsim.simulator import _valid_taps, cost, execute, run, utilization, verify_against_oracle
 from bnnsim.stats import Stats
 from bnnsim.tensors import BinaryTensor, n_groups
 
@@ -97,17 +97,44 @@ def test_bank_activity_adds_up(name):
     # every access the counters spread over bank spans lands in one bank; the
     # 1+1-bank arch fits only the smallest nets
     tiny = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
+    net = builtin_network(name)
     for arch in (default_arch(), tiny):
-        net = builtin_network(name)
-        rng = np.random.default_rng(1)
-        random_thresholds(net, rng)
         try:
             plan = plan_network(net, arch)
         except FitError:
             assert arch is tiny
             continue
-        _, st = execute(plan, net, random_input(net, rng), random_weights(net, rng), arch)
+        st = cost(plan, net)
         assert sum(st.bank_activity.values()) == st.fmm_reads + st.fmm_writes + 2 * st.nmcu_rmw
+
+
+def test_cost_needs_no_bits():
+    # a bare net (no thresholds, weights or input) costs the same counters
+    # as a seeded bit-exact run of it; the 1+1-bank arch fits only the
+    # smallest bundled nets, and tiles most of the random shapes
+    tiny = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
+    arch38 = ArchConfig(memory=MemoryGeometry(fmm_src_banks=38, fmm_snk_banks=38))
+    cases = [(builtin_network(name), arch) for name in BUNDLED
+             for arch in (default_arch(), arch38, tiny)]
+    shapes = np.random.default_rng(16)
+    cases += [(random_network(shapes, n_layers=int(shapes.integers(1, 4)), max_hw=16,
+                              max_channels=64), tiny) for _ in range(30)]
+    compared, tiled = 0, 0
+    for net, arch in cases:
+        assert all(l.thresholds is None for l in net.binary_layers())
+        try:
+            plan = plan_network(net, arch)
+        except FitError:
+            assert arch is tiny
+            continue
+        modeled = cost(plan, net).to_text()
+        rng = np.random.default_rng(1)
+        random_thresholds(net, rng)
+        _, stats, _ = run(net, random_input(net, rng), random_weights(net, rng), arch)
+        assert modeled == stats.to_text(), net.name
+        compared += 1
+        tiled += any(len(s.plans) > 1 for s in plan.schedules)
+    assert compared >= 2 * len(BUNDLED) + 10 and tiled >= 10
 
 
 def loop_valid_taps(layer, win):
@@ -277,7 +304,7 @@ def test_verify_empty_network():
     net = NetworkDesc("e", 3, 4, 4, [LayerConfig(name="x", k=3, n_out=8, external=True)])
     net.validate()
     rep = verify_against_oracle(net, BinaryTensor(3, 4, 4), {}, default_arch())
-    assert rep.equal and rep.stats.cycles_total == 0
+    assert rep.equal and rep.layers_checked == 0
 
 
 def test_verify_reports_divergence():
