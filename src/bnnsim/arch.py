@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import FitError, FormatError, ShapeError
 from .power import CalibrationTable
+from .stats import kernel_peak
 from .tensors import n_groups
 
 
@@ -22,7 +23,6 @@ from .tensors import n_groups
 class ComputeGeometry:
     n_bpu: int = 7
     xnor_units_per_bpu: int = 7
-    lanes_per_unit: int = 16
     supported_kernels: tuple = (1, 3, 5, 7)
 
     def kernel_ok(self, k: int) -> bool:
@@ -53,9 +53,7 @@ class MemoryGeometry:
 
 @dataclass
 class OperatingPoint:
-    vdd: float = 0.4
     f_clk: float = 154e6
-    active_fmm_banks: int | None = None  # None = derived per layer from usage
 
 
 @dataclass
@@ -73,8 +71,8 @@ class ArchConfig:
 
         Runs on construction, so on every parsed config file, and again
         before planning, since fields may be changed after construction."""
-        m, o = self.memory, self.op_point
-        values = {**vars(self.compute), **vars(m), "vdd": o.vdd, "f_clk": o.f_clk}
+        m = self.memory
+        values = {**vars(self.compute), **vars(m), **vars(self.op_point)}
         bad = [f"{name} = {v}" for name, v in values.items()
                if isinstance(v, (int, float)) and not v > 0]
         if bad:
@@ -82,9 +80,6 @@ class ArchConfig:
         if m.fmm_bank_width_bits % 8:
             raise ShapeError(f"fmm_bank_width_bits = {m.fmm_bank_width_bits} "
                              f"is not a whole number of bytes")
-        if o.active_fmm_banks is not None and not 0 < o.active_fmm_banks <= m.fmm_banks_total:
-            raise ShapeError(f"active_fmm_banks = {o.active_fmm_banks} is outside "
-                             f"1..{m.fmm_banks_total} (the total FMM banks)")
 
 
 def default_arch() -> ArchConfig:
@@ -95,7 +90,7 @@ def peak_ops_per_cycle(arch: ArchConfig, k: int) -> int:
     """Steady-state ops per cycle for a k x k layer (1 xnor+accumulate = 2 ops)."""
     if not arch.compute.kernel_ok(k):
         raise FitError(f"kernel {k}x{k} not supported by this geometry")
-    return 2 * k * k * arch.compute.lanes_per_unit
+    return kernel_peak(k)
 
 
 def map_bytes(channels: int, h: int, w: int) -> int:
@@ -183,8 +178,11 @@ def parse_arch(text: str, path: str = "<string>") -> ArchConfig:
         raise FormatError(str(e), path) from e
 
 
-# fields no model read; files that still set them parse and ignore them
-_RETIRED_KEYS = ("pb_banks", "rowbank_count", "rowbank_bytes", "mem_subfractions")
+# fields no model read or could honour (the lane width is the packed word,
+# tensors.LANES; banks and supply come from the plan and the calibration);
+# files that still set them parse and ignore them
+_RETIRED_KEYS = ("pb_banks", "rowbank_count", "rowbank_bytes", "mem_subfractions",
+                 "lanes_per_unit", "active_fmm_banks", "vdd")
 
 
 def _apply_key(obj, key: str, val: str) -> None:
@@ -207,11 +205,9 @@ def _apply_key(obj, key: str, val: str) -> None:
             name, frac = item.split(":")
             entries[name.strip()] = float(frac)
         setattr(obj, key, entries)
-    elif key == "active_fmm_banks":
-        setattr(obj, key, None if val == "auto" else int(val))
     elif isinstance(current, int):
         setattr(obj, key, int(val))
-    elif isinstance(current, float) or current is None:
+    elif isinstance(current, float):
         setattr(obj, key, float(val))
     else:
         setattr(obj, key, val)
@@ -226,7 +222,6 @@ def format_arch(cfg: ArchConfig) -> str:
         "[compute]",
         f"n_bpu = {c.n_bpu}",
         f"xnor_units_per_bpu = {c.xnor_units_per_bpu}",
-        f"lanes_per_unit = {c.lanes_per_unit}",
         "supported_kernels = " + ",".join(str(k) for k in c.supported_kernels),
         "",
         "[memory]",
@@ -238,9 +233,7 @@ def format_arch(cfg: ArchConfig) -> str:
         f"io_bits_per_cycle = {m.io_bits_per_cycle}",
         "",
         "[operating]",
-        f"vdd = {o.vdd}",
         f"f_clk = {o.f_clk}",
-        "active_fmm_banks = " + ("auto" if o.active_fmm_banks is None else str(o.active_fmm_banks)),
         "",
         "[calibration]",
         f"core_mw_full = {full}",

@@ -92,7 +92,6 @@ def cmd_run(args) -> int:
         raise BnnSimError(f"network {net.name!r} has no binary layers to simulate")
     weights, x = _prepare_stimulus(net, args, rng)
     outputs, stats, plan = run_network(net, x, weights, arch)
-    stats.seed = args.seed
     util = utilization(stats, arch)
     power = full_report(arch, stats)
     oc = net.op_count()
@@ -100,7 +99,6 @@ def cmd_run(args) -> int:
     t = stats.time_s(f_clk)
     header = [
         "# run report",
-        f"net = {net.name}",
         f"seed = {args.seed}",
         f"graph_mop = {oc['total_mop']:.6f}",
         f"binary_fraction = {oc['binary_fraction']:.6f}",
@@ -142,7 +140,7 @@ def cmd_sweep(args) -> int:
         for b in banks:
             if b > arch.memory.fmm_banks_total:
                 continue
-            st = ideal_point(arch, k, b)
+            st = ideal_point(k, b)
             mw, _, _ = core_power(arch, st)
             gops = st.xnor_ops_done / st.cycles_total * f_clk / 1e9
             eff = efficiency(st, mw, f_clk)

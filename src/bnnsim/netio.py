@@ -290,7 +290,7 @@ def random_weights(net: NetworkDesc, rng: np.random.Generator) -> dict:
     return weights
 
 
-def random_thresholds(net: NetworkDesc, rng: np.random.Generator, flip_prob: float = 0.2) -> None:
+def random_thresholds(net: NetworkDesc, rng: np.random.Generator) -> None:
     """Attach plausible random thresholds to every binary layer, centred on
     half the largest sum over all of its bases."""
     for l in net.binary_layers():
@@ -298,7 +298,7 @@ def random_thresholds(net: NetworkDesc, rng: np.random.Generator, flip_prob: flo
         mid = n // 2
         spread = max(1, n // 4)
         t = rng.integers(mid - spread, mid + spread + 1, size=l.n_out).astype(np.int32)
-        flip = rng.random(l.n_out) < flip_prob
+        flip = rng.random(l.n_out) < 0.2
         l.thresholds = ThresholdVector(np.clip(t, 0, n + 1), flip)
 
 

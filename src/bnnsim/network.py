@@ -56,10 +56,6 @@ class LayerConfig:
         """Columns (and rows) of 'same' padding on each side of the map."""
         return (self.k - 1) // 2 if self.padding != "none" else 0
 
-    @property
-    def kind(self) -> str:
-        return "conv+pool" if self.pool != "none" else "conv"
-
     def out_dims(self) -> tuple[int, int, int]:
         """Final output dims (channels, h, w) after any pooling."""
         return self.n_out, self.pooled_h, self.pooled_w
@@ -70,6 +66,10 @@ class LayerConfig:
 
     def weight_bits(self) -> int:
         return self.k * self.k * self.n_in * self.n_out * self.bases
+
+    def param_bits(self) -> int:
+        """Weights plus 16-bit thresholds, as stored in the parameter buffer."""
+        return self.weight_bits() + 16 * self.n_out
 
 
 @dataclass
@@ -218,28 +218,22 @@ class NetworkDesc:
 
     def op_count(self) -> dict:
         """Graph arithmetic: 2 ops per MAC, conv output dims, every layer."""
-        per_layer = []
         total = binary = 0
         for l in self.layers:
             ops = 2 * l.macs()
-            per_layer.append((l.name, ops, not l.external))
             total += ops
             if not l.external:
                 binary += ops
         return {
-            "per_layer": per_layer,
             "total_ops": total,
             "binary_ops": binary,
             "total_mop": total / 1e6,
             "binary_fraction": binary / total if total else 0.0,
         }
 
-    def weight_bits(self) -> int:
-        return sum(l.weight_bits() for l in self.binary_layers())
-
     def param_bits(self) -> int:
         """Weights plus 16-bit thresholds, as stored in the parameter buffer."""
-        return self.weight_bits() + sum(16 * l.n_out for l in self.binary_layers())
+        return sum(l.param_bits() for l in self.binary_layers())
 
     def copy(self) -> "NetworkDesc":
         return NetworkDesc(

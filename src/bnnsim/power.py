@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BnnSimError
-from .stats import LayerStats, Stats
+from .stats import LayerStats, Stats, kernel_peak
+from .tensors import LANES
 
 COMPONENTS = ("memory", "interconnect", "compute", "control", "other")
 
@@ -67,17 +68,14 @@ class CalibrationTable:
         return full, gated, (flag1 or flag2)
 
 
-def reference_ops_per_cycle(k: int, lanes: int = 16) -> int:
-    return 2 * k * k * lanes
-
-def reference_mem_rate(k: int, lanes: int = 16) -> float:
+def reference_mem_rate(k: int) -> float:
     """Steady-state memory accesses per cycle at full utilization.
 
     Per compute cycle: k row-bank reads feeding the array, one partial
-    read-add-write (counted twice), and amortized 1/lanes each for the
+    read-add-write (counted twice), and amortized 1/LANES each for the
     row load read, the row-bank fill, and the packed result write.
     """
-    return k + 2.0 + 3.0 / lanes
+    return k + 2.0 + 3.0 / LANES
 
 
 @dataclass
@@ -114,19 +112,19 @@ class PowerReport:
         return "\n".join(lines) + "\n"
 
 
-def _layer_power(calib: CalibrationTable, ls: LayerStats, banks: int) -> tuple[float, dict, bool]:
+def _layer_power(calib: CalibrationTable, ls: LayerStats) -> tuple[float, dict, bool]:
     """Core power (mW) of one layer run plus its component split."""
     full, gated, flagged = calib.anchors(ls.k)
     slope = (full - gated) / (calib.full_banks - calib.gated_banks)
     f = calib.breakdown
     cycles = ls.cycles_total
-    op_ratio = (ls.xnor_ops_done / cycles) / reference_ops_per_cycle(ls.k, ls.lanes) if cycles else 0.0
-    mem_ratio = (ls.mem_accesses / cycles) / reference_mem_rate(ls.k, ls.lanes) if cycles else 0.0
+    op_ratio = ls.util_kernel_limited
+    mem_ratio = (ls.mem_accesses / cycles) / reference_mem_rate(ls.k) if cycles else 0.0
     comp = {
         "compute": full * f["compute"] * op_ratio,
         "interconnect": full * f["interconnect"] * op_ratio,
         "memory": max(full * f["memory"] - calib.full_banks * slope, 0.0) * mem_ratio
-                  + banks * slope,
+                  + ls.active_banks * slope,
         "control": full * f["control"],
         "other": full * f["other"],
     }
@@ -146,10 +144,7 @@ def core_power(arch, stats: Stats) -> tuple[float, dict, list]:
     energy = {c: 0.0 for c in COMPONENTS}  # in mW*cycles
     flags = []
     for ls in stats.layers:
-        banks = arch.op_point.active_fmm_banks
-        if banks is None:
-            banks = ls.active_banks
-        p, comp, flagged = _layer_power(calib, ls, banks)
+        p, comp, flagged = _layer_power(calib, ls)
         if flagged and f"kernel {ls.k} outside calibration (interpolated)" not in flags:
             flags.append(f"kernel {ls.k} outside calibration (interpolated)")
         for c in COMPONENTS:
@@ -195,25 +190,24 @@ def full_report(arch, stats: Stats) -> PowerReport:
     )
 
 
-def ideal_point(arch, k: int, banks: int, cycles: int = 1_000_000) -> Stats:
+def ideal_point(k: int, banks: int) -> Stats:
     """Synthetic steady-state run of an endless full-utilization k x k layer.
 
     Activity sits exactly at the reference rates, so the power model
     returns the calibration anchors at the calibrated bank counts.
     """
-    lanes = arch.compute.lanes_per_unit
-    mem = reference_mem_rate(k, lanes)
+    cycles = 1_000_000
     # split the reference activity back into its constituent counters
     ls = LayerStats(
-        name=f"ideal_k{k}", k=k, lanes=lanes, active_banks=banks,
+        name=f"ideal_k{k}", k=k, active_banks=banks,
         cycles_compute=cycles,
-        xnor_ops_done=cycles * reference_ops_per_cycle(k, lanes),
+        xnor_ops_done=cycles * kernel_peak(k),
         rowbank_reads=cycles * k,
         nmcu_rmw=cycles,
-        fmm_reads=cycles // lanes,
-        fmm_writes=cycles // lanes,
-        rowbank_writes=cycles // lanes,
-        ops_graph=cycles * reference_ops_per_cycle(k, lanes),
+        fmm_reads=cycles // LANES,
+        fmm_writes=cycles // LANES,
+        rowbank_writes=cycles // LANES,
+        ops_graph=cycles * kernel_peak(k),
     )
-    assert abs(ls.mem_accesses / cycles - mem) < 1e-9
+    assert abs(ls.mem_accesses / cycles - reference_mem_rate(k)) < 1e-9
     return Stats(net=f"ideal_k{k}_b{banks}", layers=[ls])

@@ -21,15 +21,16 @@ from dataclasses import dataclass
 from .arch import ArchConfig, FitEntry, FitReport, map_bytes, plane_bytes
 from .errors import FitError
 from .network import LayerConfig, NetworkDesc
+from .tensors import LANES
 
-C_I_TILE = 16   # input channels per tile = lanes per xnor unit
-C_O_TILE = 16   # output channels batched per tile = one packed result word
-PIPE_FILL = 3   # adder-tree pipeline depth charged per row segment
+C_I_TILE = LANES   # input channels per tile = lanes per xnor unit
+C_O_TILE = LANES   # output channels batched per tile = one packed result word
+PIPE_FILL = 3      # adder-tree pipeline depth charged per row segment
 
 INPUT_MAP = "@input"
 
 
-def channel_tiles(n: int, tile: int = 16) -> list[int]:
+def channel_tiles(n: int, tile: int = LANES) -> list[int]:
     """Real channel counts per tile, e.g. 20 -> [16, 4]."""
     out = [tile] * (n // tile)
     if n % tile:
@@ -555,7 +556,7 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, window
             overlap = max(max(a.in_hi - b.in_lo for a, b in zip(wins, wins[1:])), 0)
         working = C_O_TILE * l.out_h * l.out_w * 2   # partial-sum tile plane
         banks_used = -(-src // bank) + -(-(snk + working) // bank)
-        bits = l.weight_bits() + 16 * l.n_out
+        bits = l.param_bits()
         streams = bits > pb_left
         pb_left -= 0 if streams else bits
         entries.append(FitEntry(
@@ -569,8 +570,8 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, window
         needs_tiling=needs_tiling,
         unsupported_kernels=[l.name for l in binary if not arch.compute.kernel_ok(l.k)],
         weights_fit_pb=-(-net.param_bits() // 8) <= arch.memory.pb_bytes,
-        streamed_param_bits=sum(l.weight_bits() + 16 * l.n_out
-                                for l, e in zip(binary, entries) if e.streams_params),
+        streamed_param_bits=sum(l.param_bits() for l, e in zip(binary, entries)
+                                if e.streams_params),
     )
 
 
@@ -598,7 +599,7 @@ def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
             charge_input_io=(i == 0),
             charge_output_io=(i == len(binary) - 1),
         )
-        pb_offset += (l.weight_bits() + 16 * l.n_out) // 16
+        pb_offset += l.param_bits() // 16
         plans = [LayerPlan(tile=t, window=win, nest=_layer_nest(l, win, chunk_io), **common)
                  for t, win in enumerate(wins)]
         schedules.append(Schedule(layer=l, plans=plans))

@@ -35,12 +35,12 @@ from .functional import layer_forward
 from .network import NetworkDesc
 from .scheduler import INPUT_MAP, PIPE_FILL, LayerPlan, NetworkPlan, plan_network
 from .stats import LayerStats, Stats
-from .tensors import BinaryTensor, IntTensor, n_groups
+from .tensors import LANES, BinaryTensor, IntTensor, n_groups
 
 
 @dataclass
 class UtilizationReport:
-    util_kernel_limited: float   # achieved ops / (2*k*k*16 per cycle)
+    util_kernel_limited: float   # achieved ops / (stats.kernel_peak(k) per cycle)
     util_full_array: float       # achieved ops / (full-array peak per cycle)
 
     def to_text(self) -> str:
@@ -71,7 +71,7 @@ def _valid_taps(layer, win) -> tuple[int, int]:
     return inside(0, layer.out_h, layer.in_h), inside(win.out_lo, win.out_hi, layer.in_w)
 
 
-def _tile_stats(plan: LayerPlan, lanes: int) -> LayerStats:
+def _tile_stats(plan: LayerPlan) -> LayerStats:
     """Counters of one (layer, tile) run over the tile's whole window, its
     recomputed halo columns included."""
     l, win, nest = plan.layer, plan.window, plan.nest
@@ -85,7 +85,7 @@ def _tile_stats(plan: LayerPlan, lanes: int) -> LayerStats:
     row_words = blocks * nest.rows_used * i_w
     vy_sum, vx_sum = _valid_taps(l, win)
     st = LayerStats(
-        name=l.name, k=k, lanes=lanes, tile=plan.tile,
+        name=l.name, k=k, tile=plan.tile,
         active_banks=plan.active_banks,
         ops_graph=2 * k * k * l.n_in * l.n_out * o_h * o_w * l.bases,
         cycles_compute=segments * o_w,
@@ -118,7 +118,7 @@ def _tile_stats(plan: LayerPlan, lanes: int) -> LayerStats:
     if plan.tile == 0:
         st.cycles_other += 1  # source/sink swap
     if plan.stream_params:
-        st.io_bits += l.weight_bits() + 16 * l.n_out
+        st.io_bits += l.param_bits()
     if plan.charge_input_io:
         st.io_bits += 16 * n_groups(l.n_in) * l.in_h * i_w
     if plan.charge_output_io:
@@ -143,10 +143,9 @@ def cost(plan: NetworkPlan, net: NetworkDesc) -> Stats:
     Only the plan, its arch and the net's name are read: no weights,
     thresholds or input."""
     stats = Stats(net=net.name)
-    lanes = plan.arch.compute.lanes_per_unit
     for sched in plan.schedules:
         for pl in sched.plans:
-            st = _tile_stats(pl, lanes)
+            st = _tile_stats(pl)
             _spread_bank_activity(stats.bank_activity, pl.feed_banks, st.fmm_reads)
             _spread_bank_activity(stats.bank_activity, pl.out_banks,
                                   st.fmm_writes + 2 * st.nmcu_rmw)
@@ -214,7 +213,7 @@ def utilization(stats: Stats, arch: ArchConfig) -> UtilizationReport:
     if not stats.layers or stats.cycles_total == 0:
         raise FitError("utilization of an empty or zero-cycle run")
     c = arch.compute
-    full_peak = 2 * c.n_bpu * c.xnor_units_per_bpu * c.lanes_per_unit
+    full_peak = 2 * c.n_bpu * c.xnor_units_per_bpu * LANES
     w_ops = 0
     acc_k = 0.0
     acc_f = 0.0
@@ -222,11 +221,9 @@ def utilization(stats: Stats, arch: ArchConfig) -> UtilizationReport:
         if l.cycles_total == 0:
             continue
         ops = l.xnor_ops_done
-        u_k = ops / (l.cycles_total * l.kernel_peak)
-        u_f = ops / (l.cycles_total * full_peak)
         w_ops += ops
-        acc_k += ops * u_k
-        acc_f += ops * u_f
+        acc_k += ops * l.util_kernel_limited
+        acc_f += ops * (ops / (l.cycles_total * full_peak))
     return UtilizationReport(acc_k / w_ops, acc_f / w_ops)
 
 

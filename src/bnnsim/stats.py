@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .tensors import LANES
+
 _TOTALS = (
     "cycles_total", "cycles_compute", "cycles_load", "xnor_ops_done",
     "xnor_lane_slots", "fmm_reads", "fmm_writes", "pb_reads",
@@ -12,11 +14,16 @@ _TOTALS = (
 )
 
 
+def kernel_peak(k: int) -> int:
+    """Ops per cycle of a k x k layer at full use: k*k xnor units of LANES
+    lanes, each lane an xnor and an accumulate (2 ops)."""
+    return 2 * k * k * LANES
+
+
 @dataclass
 class LayerStats:
     name: str
     k: int
-    lanes: int = 16
     tile: int = 0
     ops_graph: int = 0          # graph-level ops (full taps), for weighting
     active_banks: int = 0
@@ -40,12 +47,8 @@ class LayerStats:
                 + self.cycles_pool + self.cycles_other)
 
     @property
-    def kernel_peak(self) -> int:
-        return 2 * self.k * self.k * self.lanes
-
-    @property
     def xnor_lane_slots(self) -> int:
-        return self.cycles_total * self.kernel_peak
+        return self.cycles_total * kernel_peak(self.k)
 
     @property
     def util_kernel_limited(self) -> float:
@@ -64,7 +67,6 @@ class Stats:
     attribute whose value is that counter summed over the layer runs."""
 
     net: str = ""
-    seed: int | None = None
     layers: list[LayerStats] = field(default_factory=list)
     bank_activity: dict = field(default_factory=dict)  # bank index -> accesses
 
@@ -79,8 +81,6 @@ class Stats:
     def to_text(self) -> str:
         """Key/value block plus a per-layer CSV table."""
         lines = [f"net = {self.net}"]
-        if self.seed is not None:
-            lines.append(f"seed = {self.seed}")
         for key in _TOTALS:
             lines.append(f"{key} = {getattr(self, key)}")
         lines.append("[layers]")

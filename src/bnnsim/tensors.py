@@ -110,9 +110,6 @@ class BinaryTensor:
             and np.array_equal(self.words, other.words)
         )
 
-    def copy(self) -> "BinaryTensor":
-        return BinaryTensor(self.channels, self.height, self.width, self.words.copy())
-
 
 def binarize_pack(values: np.ndarray) -> BinaryTensor:
     """Pack a real or bipolar (C, H, W) array: bit = 1 iff value > 0."""
@@ -159,6 +156,3 @@ class IntTensor:
                 f"[{self.values.min()}, {self.values.max()}]"
             )
         return self
-
-    def copy(self) -> "IntTensor":
-        return IntTensor(self.channels, self.height, self.width, self.values.copy())

@@ -122,12 +122,12 @@ def test_criterion_4_efficiency_reproduction():
     for k, banks, want, tol in ((7, 4, 223.0, 0.02), (5, 4, 124.0, 0.02),
                                 (3, 4, 65.0, 0.02), (7, 48, 185.0, 0.03),
                                 (5, 48, 100.0, 0.03)):
-        st = ideal_point(arch, k, banks)
+        st = ideal_point(k, banks)
         mw, _, _ = core_power(arch, st)
         eff = efficiency(st, mw, F_CLK)
         assert abs(eff - want) / want < tol, f"k={k} banks={banks}: {eff:.1f} TOPS/W"
         details.append(f"k={k}/{banks}b: {eff:.1f}")
-    st = ideal_point(arch, 3, 48)
+    st = ideal_point(3, 48)
     mw, _, _ = core_power(arch, st)
     outlier = efficiency(st, mw, F_CLK)
     details.append(f"k=3/48b: {outlier:.1f} (documented outlier, published 39.0 "

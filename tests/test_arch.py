@@ -133,9 +133,21 @@ def test_arch_file_ignores_retired_fields():
     old = (text.replace("pb_bytes =", "pb_banks = 2\nrowbank_count = 7\n"
                         "rowbank_bytes = 512\npb_bytes =")
            .replace("io_pj_per_bit =", "mem_subfractions = 0.18, 0.238, 0.127, 0.016\n"
-                    "io_pj_per_bit ="))
-    assert "rowbank_bytes" in old and "mem_subfractions" in old
+                    "io_pj_per_bit =")
+           .replace("supported_kernels =", "lanes_per_unit = 8\nsupported_kernels =")
+           .replace("f_clk =", "vdd = 0.4\nactive_fmm_banks = auto\nf_clk ="))
+    assert all(key in old for key in ("rowbank_bytes", "mem_subfractions", "lanes_per_unit",
+                                      "vdd", "active_fmm_banks"))
     assert format_arch(parse_arch(old)) == text
+
+
+@pytest.mark.parametrize("name", ["default", "small48k"])
+def test_bundled_arch_file_is_canonical(name):
+    # a shipped file holds exactly the fields format_arch writes: no retired key
+    from importlib.resources import files
+
+    text = (files("bnnsim") / "shapes" / f"{name}.arch").read_text()
+    assert format_arch(parse_arch(text)) == text
 
 
 def test_arch_file_errors():

@@ -30,6 +30,13 @@ def test_run_report_roundtrip(tmp_path, capsys):
     assert lines[1].startswith("vgg_like_cifar10,46.2,")
 
 
+def test_run_report_states_each_key_once(capsys):
+    assert main(["run", "vgg_like_cifar10", "--seed", "2"]) == 0
+    head = capsys.readouterr().out.split("[layers]")[0]
+    keys = [line.partition(" = ")[0] for line in head.splitlines() if " = " in line]
+    assert len(keys) == len(set(keys)) and {"net", "seed"} <= set(keys), keys
+
+
 def test_run_deterministic_output(tmp_path):
     a, b = tmp_path / "a.run", tmp_path / "b.run"
     main(["run", "sed_freesound", "--seed", "9", "--out", str(a)])
@@ -97,7 +104,6 @@ def _one_error_line(capsys) -> str:
 
 @pytest.mark.parametrize("section,key,value", [
     ("operating", "f_clk", "-1"),
-    ("operating", "vdd", "0"),
     ("memory", "io_bits_per_cycle", "0"),
     ("memory", "fmm_bank_words", "0"),
     ("memory", "fmm_src_banks", "-4"),

@@ -13,11 +13,10 @@ from bnnsim.power import (
     full_report,
     ideal_point,
     reference_mem_rate,
-    reference_ops_per_cycle,
 )
 from bnnsim.scheduler import plan_network
 from bnnsim.simulator import cost
-from bnnsim.stats import LayerStats, Stats
+from bnnsim.stats import LayerStats, Stats, kernel_peak
 
 F_CLK = 154e6
 
@@ -45,7 +44,7 @@ def test_six_anchor_points_exact():
         (7, 4): 1.08, (5, 4): 0.99, (3, 4): 0.68,
     }
     for (k, banks), mw in want.items():
-        st = ideal_point(arch, k, banks)
+        st = ideal_point(k, banks)
         got, comp, flags = core_power(arch, st)
         assert sig3(got) == mw, f"k={k} banks={banks}: {got} != {mw}"
         assert not flags
@@ -53,10 +52,10 @@ def test_six_anchor_points_exact():
 
 def test_full_utilization_examples():
     arch = default_arch()
-    st = ideal_point(arch, 7, 48)
+    st = ideal_point(7, 48)
     mw, _, _ = core_power(arch, st)
     assert mw == pytest.approx(1.3, abs=1e-9)
-    st = ideal_point(arch, 7, 4)
+    st = ideal_point(7, 4)
     mw, _, _ = core_power(arch, st)
     assert mw == pytest.approx(1.08, abs=1e-9)
 
@@ -80,7 +79,7 @@ def test_gating_monotonicity():
     powers = []
     effs = []
     for banks in (4, 8, 16, 32, 48):
-        st = ideal_point(arch, 7, banks)
+        st = ideal_point(7, banks)
         mw, _, _ = core_power(arch, st)
         powers.append(mw)
         effs.append(efficiency(st, mw, F_CLK))
@@ -92,7 +91,7 @@ def test_efficiency_reproduction():
     arch = default_arch()
     for k, banks, want, tol in ((7, 4, 223, 0.02), (5, 4, 124, 0.02), (3, 4, 65, 0.02),
                                 (7, 48, 185, 0.03), (5, 48, 100, 0.03)):
-        st = ideal_point(arch, k, banks)
+        st = ideal_point(k, banks)
         mw, _, _ = core_power(arch, st)
         eff = efficiency(st, mw, F_CLK)
         assert abs(eff - want) / want < tol, f"k={k} banks={banks}: {eff}"
@@ -103,7 +102,7 @@ def test_3x3_ungated_outlier_documented():
     # with its own power and throughput figures; the model reproduces the
     # power anchor and reports the arithmetic consequence instead
     arch = default_arch()
-    st = ideal_point(arch, 3, 48)
+    st = ideal_point(3, 48)
     mw, _, _ = core_power(arch, st)
     eff = efficiency(st, mw, F_CLK)
     assert mw == pytest.approx(0.90, abs=1e-9)
@@ -112,7 +111,7 @@ def test_3x3_ungated_outlier_documented():
 
 def test_halved_utilization_halves_efficiency():
     arch = default_arch()
-    st = ideal_point(arch, 7, 4)
+    st = ideal_point(7, 4)
     mw, _, _ = core_power(arch, st)
     base = efficiency(st, mw, F_CLK)
     st.layers[0].xnor_ops_done //= 2
@@ -156,7 +155,7 @@ def test_io_energy_zero_and_megabit():
 
 def test_interpolated_kernel_flagged():
     arch = default_arch()
-    st = ideal_point(arch, 1, 4)
+    st = ideal_point(1, 4)
     mw, _, flags = core_power(arch, st)
     assert flags and "interpolated" in flags[0]
     assert 0 < mw < 0.9
@@ -169,5 +168,5 @@ def test_bank_slope_per_kernel():
 
 
 def test_reference_rates():
-    assert reference_ops_per_cycle(7) == 1568
+    assert kernel_peak(7) == 1568
     assert reference_mem_rate(3) == pytest.approx(3 + 2 + 3 / 16)

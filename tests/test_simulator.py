@@ -70,7 +70,7 @@ def test_throughput_ceiling():
         net = random_network(rng)
         _, stats, _, _, _ = simulate(net, rng)
         for ls in stats.layers:
-            assert ls.xnor_ops_done <= ls.cycles_total * ls.kernel_peak
+            assert ls.xnor_ops_done <= ls.xnor_lane_slots
             assert ls.xnor_ops_done <= ls.cycles_total * 1568
 
 
