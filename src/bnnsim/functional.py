@@ -7,9 +7,13 @@ All comparisons follow the hardware comparator: a channel output is -1
 Channels whose folded affine scale is negative carry a `flip` flag that
 reverses the comparison direction.
 
-The epilogue (binarize, pool, pack) runs channels-last, as the conv kernel
-writes its sums: the bits of a layer's output are packed from pixel-major
-sums, and its words are a (groups, H, W) view of (H, W, groups) memory.
+The conv kernel runs one GEMM per call where the layer's weights fit one
+block and its output rows one chunk, as on small maps; larger layers run
+one GEMM per weight block and row chunk.  The epilogue
+(binarize, pool, pack) runs channels-last, as the conv kernel writes its
+sums: the bits of a layer's output are packed from pixel-major sums, and
+its words are a (groups, H, W) view of (H, W, groups) memory whose lanes
+past the last channel are zero.
 """
 
 from __future__ import annotations
@@ -162,6 +166,18 @@ def _bipolar_lanes(words: np.ndarray, channels: int) -> np.ndarray:
     return pm[..., :channels]
 
 
+def _summed_weights(weights: np.ndarray, n_in: int, buf: np.ndarray) -> np.ndarray:
+    """(m, taps) float32 rows of packed weights (bases, m, ...) in the flat
+    buffer `buf`: each tap's +/-1 weights summed over the bases."""
+    w_pm = _bipolar_lanes(weights, n_in)
+    w_sum = buf[:w_pm[0].size].reshape(w_pm.shape[1:])
+    np.copyto(w_sum, w_pm[0])
+    # int8 sums 127 +/-1 weights exactly; 2.8x faster than one float32 sum
+    for b0 in range(1, len(w_pm), 127):
+        w_sum += np.add.reduce(w_pm[b0:b0 + 127], axis=0, dtype=np.int8)
+    return w_sum.reshape(len(w_sum), -1)
+
+
 def xnor_conv(
     x: BinaryTensor,
     weights: np.ndarray,
@@ -194,8 +210,15 @@ def xnor_conv(
     channel-major dots add in transposed.  A GEMM's partial dots are
     integers of magnitude <= bases*k*k*n_in, exact in float32 below 2**24;
     they add up, with the tap count, in int32.
+
+    A call whose weights fit one block under _WEIGHT_CAP and whose windows
+    one chunk under _BUFFER_CAP and _MAX_PIXELS runs one GEMM: the windows
+    convert to float32 in one copy and the dots land, cast, in the int32
+    sums, with no product buffer.
     """
-    weights = np.asarray(weights, dtype=np.uint16).reshape(-1, *np.shape(weights)[-4:])
+    weights = np.asarray(weights, dtype=np.uint16)
+    if weights.ndim == 4:
+        weights = weights[None]
     bases, n_out, n_in = weights.shape[0], weights.shape[1], x.channels
     g_in = n_groups(n_in)
     if weights.shape[1:] != (n_out, k, k, g_in):
@@ -231,31 +254,35 @@ def xnor_conv(
     tv = k if k * n_in <= k_cap else max(1, min(k, k_cap // n_in))
     m = max(1, min(n_out, _WEIGHT_CAP // (tu * tv * n_in)))
     chunk = max(1, min(oh, _BUFFER_CAP // (ow * max(tu * tv * n_in, m)), _MAX_PIXELS // ow))
-    w_buf = np.empty(m * tu * tv * n_in, dtype=np.float32)
-    cols = np.empty(chunk * ow * tu * tv * n_in, dtype=np.float32)
-    prod = np.empty(chunk * ow * m, dtype=np.float32)
     sums = np.empty((oh, ow, n_out), dtype=np.int32)  # pixel-major, as the GEMMs write
-    for o0, u0, v0 in itertools.product(range(0, n_out, m), range(0, k, tu), range(0, k, tv)):
-        w_pm = _bipolar_lanes(weights[:, o0:o0 + m, u0:u0 + tu, v0:v0 + tv], n_in)
-        w_sum = w_buf[:w_pm[0].size].reshape(w_pm.shape[1:])
-        np.copyto(w_sum, w_pm[0])
-        # int8 sums 127 +/-1 weights exactly; 2.8x faster than one float32 sum
-        for b0 in range(1, bases, 127):
-            w_sum += np.add.reduce(w_pm[b0:b0 + 127], axis=0, dtype=np.int8)
-        w_sum = w_sum.reshape(len(w_sum), -1)
-        for y0 in range(0, oh, chunk):
-            src = win[y0:y0 + chunk, :, u0:u0 + tu, v0:v0 + tv]
-            a = cols[:src.size].reshape(src.shape)
-            np.copyto(a, src)
-            a = a.reshape(-1, w_sum.shape[1])
-            n = len(a) * len(w_sum)
-            if len(a) < len(w_sum):  # fewer pixels than channels: weights first
-                out = np.matmul(w_sum, a.T, out=prod[:n].reshape(len(w_sum), -1)).T
-            else:
-                out = np.matmul(a, w_sum.T, out=prod[:n].reshape(len(a), -1))
-            block = sums[y0:y0 + chunk, :, o0:o0 + m]  # the first tap block writes it
-            np.add(out.reshape(block.shape), block if u0 or v0 else taps, out=block,
-                   dtype=np.int32, casting="unsafe")  # int32: taps + a partial dot may pass 2**24
+    if tu == tv == k and m == n_out and chunk == oh:  # one weight block, one row chunk
+        a = win.astype(np.float32, order="C").reshape(oh * ow, -1)
+        w_sum = _summed_weights(weights, n_in, np.empty(a.shape[1] * n_out, dtype=np.float32))
+        out = sums.reshape(len(a), n_out)
+        if len(a) < n_out:  # fewer pixels than channels: weights first
+            np.matmul(w_sum, a.T, out=out.T, casting="unsafe")
+        else:
+            np.matmul(a, w_sum.T, out=out, casting="unsafe")
+        sums += taps
+    else:
+        w_buf = np.empty(m * tu * tv * n_in, dtype=np.float32)
+        cols = np.empty(chunk * ow * tu * tv * n_in, dtype=np.float32)
+        prod = np.empty(chunk * ow * m, dtype=np.float32)
+        for o0, u0, v0 in itertools.product(range(0, n_out, m), range(0, k, tu), range(0, k, tv)):
+            w_sum = _summed_weights(weights[:, o0:o0 + m, u0:u0 + tu, v0:v0 + tv], n_in, w_buf)
+            for y0 in range(0, oh, chunk):
+                src = win[y0:y0 + chunk, :, u0:u0 + tu, v0:v0 + tv]
+                a = cols[:src.size].reshape(src.shape)
+                np.copyto(a, src)
+                a = a.reshape(-1, w_sum.shape[1])
+                n = len(a) * len(w_sum)
+                if len(a) < len(w_sum):  # fewer pixels than channels: weights first
+                    out = np.matmul(w_sum, a.T, out=prod[:n].reshape(len(w_sum), -1)).T
+                else:
+                    out = np.matmul(a, w_sum.T, out=prod[:n].reshape(len(a), -1))
+                block = sums[y0:y0 + chunk, :, o0:o0 + m]  # the first tap block writes it
+                np.add(out.reshape(block.shape), block if u0 or v0 else taps, out=block,
+                       dtype=np.int32, casting="unsafe")  # int32: taps + a partial dot may pass 2**24
     sums >>= 1
     return IntTensor(n_out, oh, ow, sums.transpose(2, 0, 1))
 
@@ -286,15 +313,23 @@ def _binarize(v: np.ndarray, t: np.ndarray, flip: np.ndarray) -> np.ndarray:
     On maps of many pixels the sums compare in rows of r whole pixels,
     against t and flip repeated r times, so numpy's inner loops run r*C
     sums rather than C; the pixels after the last whole row compare against
-    the head of those rows."""
+    the head of those rows.  A map too small for 16 rows of 16 pixels (under
+    256 pixels, or over _ROW / 16 channels) compares once, broadcast, into
+    bits padded to whole words, packed along the channels: below about 250
+    pixels of 20-300 channels that is the faster of the two."""
     c = v.shape[-1]
+    r = min(_ROW // c, v.size // (16 * c))  # at least 16 rows
+    if r < 16:
+        bits = np.zeros((*v.shape[:-1], n_groups(c) * LANES), bool)
+        lanes = bits[..., :c]
+        np.greater_equal(v, t, out=lanes)
+        lanes ^= flip
+        return np.packbits(bits, axis=-1, bitorder="little").view("<u2")
+    t_row, f_row = np.empty((r, c), np.int32), np.empty((r, c), bool)
+    t_row[...] = t
+    f_row[...] = flip
+    t, flip = t_row.reshape(-1), f_row.reshape(-1)
     flat = v.reshape(-1)
-    r = max(1, min(_ROW // c, len(flat) // (16 * c)))  # at least 16 rows
-    if r > 1:
-        t_row, f_row = np.empty((r, c), np.int32), np.empty((r, c), bool)
-        t_row[...] = t
-        f_row[...] = flip
-        t, flip = t_row.reshape(-1), f_row.reshape(-1)
     bits = np.empty(v.shape, bool)
     out = bits.reshape(-1)
     n = len(flat) - len(flat) % len(t)
@@ -317,8 +352,9 @@ def _or_halves(a: np.ndarray) -> np.ndarray:
 
 
 def _binary_map(c: int, words: np.ndarray) -> BinaryTensor:
-    """A BinaryTensor over channels-last (H, W, groups) words, as a view."""
-    return BinaryTensor(c, words.shape[0], words.shape[1], words.transpose(2, 0, 1))
+    """A BinaryTensor over channels-last (H, W, groups) words, as a view; the
+    epilogue leaves their lanes past c zero."""
+    return BinaryTensor.packed(c, words.transpose(2, 0, 1))
 
 
 def _pool_dims(sums: IntTensor, th: ThresholdVector) -> tuple[int, int]:

@@ -138,49 +138,59 @@ def core_power(arch, stats: Stats) -> tuple[float, dict, list]:
     calibrated bank count reports the measured value exactly.
     """
     calib = arch.calib
-    total_cycles = stats.cycles_total
-    if total_cycles == 0:
-        return 0.0, {c: 0.0 for c in COMPONENTS}, []
     energy = {c: 0.0 for c in COMPONENTS}  # in mW*cycles
     flags = []
+    total_cycles = 0
     for ls in stats.layers:
         p, comp, flagged = _layer_power(calib, ls)
         if flagged and f"kernel {ls.k} outside calibration (interpolated)" not in flags:
             flags.append(f"kernel {ls.k} outside calibration (interpolated)")
+        cycles = ls.cycles_total
+        total_cycles += cycles
         for c in COMPONENTS:
-            energy[c] += comp[c] * ls.cycles_total
+            energy[c] += comp[c] * cycles
+    if total_cycles == 0:
+        return 0.0, {c: 0.0 for c in COMPONENTS}, []
     per_component = {c: energy[c] / total_cycles for c in COMPONENTS}
     return sum(per_component.values()), per_component, flags
 
 
 def efficiency(stats: Stats, core_mw: float, f_clk: float) -> float:
     """Achieved TOPS per watt of core power."""
-    t = stats.time_s(f_clk)
+    return _tops_per_watt(stats.xnor_ops_done, stats.time_s(f_clk), core_mw)
+
+
+def _tops_per_watt(ops: int, t: float, core_mw: float) -> float:
     if t == 0 or core_mw == 0:
         return 0.0
-    ops_per_s = stats.xnor_ops_done / t
-    return ops_per_s / (core_mw * 1e-3) / 1e12
+    return ops / t / (core_mw * 1e-3) / 1e12
 
 
 def energy_per_inference(stats: Stats, core_mw: float, calib: CalibrationTable,
                          f_clk: float) -> tuple[float, float, float]:
     """(core uJ, io uJ, total uJ) for one processed frame."""
-    t = stats.time_s(f_clk)
+    return _energy_uj(core_mw, stats.time_s(f_clk), stats.io_bits, calib)
+
+
+def _energy_uj(core_mw: float, t: float, io_bits: int,
+               calib: CalibrationTable) -> tuple[float, float, float]:
     core_uj = core_mw * 1e-3 * t * 1e6
-    io_uj = stats.io_bits * calib.io_pj_per_bit * 1e-12 * 1e6
+    io_uj = io_bits * calib.io_pj_per_bit * 1e-12 * 1e6
     return core_uj, io_uj, core_uj + io_uj
 
 
 def full_report(arch, stats: Stats) -> PowerReport:
+    """Power, efficiency and energy of a run; each `Stats` total, a sum over
+    the layer runs on every read, is read once."""
     f_clk = arch.op_point.f_clk
-    core_mw, per_component, flags = core_power(arch, stats)
-    core_uj, io_uj, total_uj = energy_per_inference(stats, core_mw, arch.calib, f_clk)
     t = stats.time_s(f_clk)
+    core_mw, per_component, flags = core_power(arch, stats)
+    core_uj, io_uj, total_uj = _energy_uj(core_mw, t, stats.io_bits, arch.calib)
     io_mw = io_uj / (t * 1e3) if t else 0.0
     return PowerReport(
         core_mw=core_mw,
         io_mw=io_mw,
-        tops_per_watt=efficiency(stats, core_mw, f_clk),
+        tops_per_watt=_tops_per_watt(stats.xnor_ops_done, t, core_mw),
         energy_uj_per_inference=total_uj,
         per_component_mw=per_component,
         core_uj=core_uj,

@@ -19,12 +19,12 @@ output columns; tests check them against the golden model and the
 independent bipolar oracle.  The host computes each conv column once: a
 tile runs only the columns no earlier tile of its layer ran, since its
 halo columns would come out the same.  The model still charges every
-tile its whole window, the recomputed halo included.
+tile its whole window, the recomputed halo included.  An untiled layer's
+output is the map its layer step returns; only tiled layers are stitched.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +63,15 @@ def _valid_taps(layer, win) -> tuple[int, int]:
     k, s, p = layer.k, layer.stride, layer.pad
 
     def inside(lo: int, hi: int, n: int) -> int:
-        # positions in [-(-p // s), (n + p - k) // s] see all k taps; visit the rest
-        first, last = -(-p // s), (n + p - k) // s
-        edges = itertools.chain(range(lo, min(hi, first)), range(max(lo, first, last + 1), hi))
-        return (hi - lo) * k - sum(max(p - o * s, 0) + max(o * s - p + k - n, 0) for o in edges)
+        # position o loses max(p - o*s, 0) taps over the low edge, for o in
+        # [lo, b), and max(o*s - q, 0) over the high edge, for o in [c, hi):
+        # two arithmetic series
+        q = n + p - k
+        b = max(lo, min(hi, -(-p // s)))
+        c = min(hi, max(lo, q // s + 1))
+        low = (b - lo) * p - s * (lo + b - 1) * (b - lo) // 2
+        high = s * (c + hi - 1) * (hi - c) // 2 - (hi - c) * q
+        return (hi - lo) * k - low - high
 
     return inside(0, layer.out_h, layer.in_h), inside(win.out_lo, win.out_hi, layer.in_w)
 
@@ -160,8 +165,10 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
     Tiled groups run tile-major; every layer's full output map is
     reassembled so downstream layers and verification can read it.  A
     tile's layer step runs only the conv columns no earlier tile
-    computed, and a tile left with none runs no layer step.  `arch` feeds
-    no counter: the counters read `plan.arch`.
+    computed, and a tile left with none runs no layer step.  A layer
+    whose step computes the whole map (every untiled layer) keeps the
+    step's own map, and its own int plane where one is parked; no copy is
+    made.  `arch` feeds no counter: the counters read `plan.arch`.
     """
     outputs: dict[str, BinaryTensor] = {}
     planes: dict[str, IntTensor] = {}
@@ -186,10 +193,15 @@ def execute(plan: NetworkPlan, net: NetworkDesc, x: BinaryTensor,
             residual = planes[l.residual] if l.residual_mode == "int" else outputs.get(l.residual, x)
         res = layer_forward(feed, l, weights[l.name], residual, net.acc_bits, net.acc_mode,
                             (lo, win.out_hi))
+        if lo == 0 and win.out_hi == l.out_w:  # the whole map: the layer step's own
+            outputs[l.name] = res.bits
+            if pl.parks_int_plane:
+                planes[l.name] = res.sums
+            continue
 
         if l.name not in outputs:  # channels-last, as the layer step packs its bits
             hwg = np.zeros((l.pooled_h, l.pooled_w, n_groups(l.n_out)), dtype=np.uint16)
-            outputs[l.name] = BinaryTensor(l.n_out, l.pooled_h, l.pooled_w, hwg.transpose(2, 0, 1))
+            outputs[l.name] = BinaryTensor.packed(l.n_out, hwg.transpose(2, 0, 1))
         plo = lo // 2 if l.pool != "none" else lo
         outputs[l.name].words[:, :, plo:win.pout_hi] = res.bits.words
         if pl.parks_int_plane:
@@ -210,20 +222,23 @@ def run(net: NetworkDesc, x: BinaryTensor, weights: dict,
 
 def utilization(stats: Stats, arch: ArchConfig) -> UtilizationReport:
     """Both published ratios, ops-weighted across layer runs."""
-    if not stats.layers or stats.cycles_total == 0:
-        raise FitError("utilization of an empty or zero-cycle run")
     c = arch.compute
     full_peak = 2 * c.n_bpu * c.xnor_units_per_bpu * LANES
+    cycles_total = 0
     w_ops = 0
     acc_k = 0.0
     acc_f = 0.0
     for l in stats.layers:
-        if l.cycles_total == 0:
+        cycles = l.cycles_total
+        cycles_total += cycles
+        if cycles == 0:
             continue
         ops = l.xnor_ops_done
         w_ops += ops
         acc_k += ops * l.util_kernel_limited
-        acc_f += ops * (ops / (l.cycles_total * full_peak))
+        acc_f += ops * (ops / (cycles * full_peak))
+    if cycles_total == 0:
+        raise FitError("utilization of an empty or zero-cycle run")
     return UtilizationReport(acc_k / w_ops, acc_f / w_ops)
 
 

@@ -74,6 +74,15 @@ class BinaryTensor:
             self.words = words
 
     @classmethod
+    def packed(cls, channels: int, words: np.ndarray) -> "BinaryTensor":
+        """A map over (groups, H, W) uint16 words whose lanes past the last
+        channel are zero already, as the layer step packs them: the words
+        are kept, unscanned.  Words from anywhere else go through __init__."""
+        t = cls.__new__(cls)
+        t.channels, (_, t.height, t.width), t.words = channels, words.shape, words
+        return t
+
+    @classmethod
     def from_bits(cls, bits: np.ndarray) -> "BinaryTensor":
         """Pack a (C, H, W) array of 0/1 bits (only the low bit counts)."""
         bits = np.asarray(bits)

@@ -278,6 +278,34 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
     assert weights_first == {False, True}  # both orders ran
 
 
+@pytest.mark.parametrize("bases", [1, 3])
+def test_conv_one_block_one_chunk_runs_one_gemm(monkeypatch, bases):
+    # at the shipped caps a 6 x 5 map, 20 channels of 3 x 3 x 17 taps, fits
+    # one weight block and one row chunk: one GEMM, windows first on the
+    # whole map (30 pixels against 20 channels), weights first on the
+    # column range [1, 3) (12 pixels)
+    n_in, n_out, h, w, k = 17, 20, 6, 5, 3
+    rng = np.random.default_rng(20 + bases)
+    x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
+    wts = w1.reshape(bases, n_out, k, k, -1)
+    want = sum(per_bit_conv(x, wts[b], k, 1, "same1") for b in range(bases))
+    gemms = []
+    matmul = np.matmul
+
+    def spy(a, b, **kw):
+        gemms.append((a.shape, b.shape))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    taps = k * k * n_in
+    for (lo, hi), shapes in [((0, w), ((h * w, taps), (taps, n_out))),
+                             ((1, 3), ((n_out, taps), (taps, h * 2)))]:
+        gemms.clear()
+        got = xnor_conv(x, wts if bases > 1 else wts[0], k, 1, "same1", (lo, hi))
+        assert np.array_equal(got.values, want[:, :, lo:hi]), (lo, hi)
+        assert gemms == [shapes], (lo, hi)
+
+
 @pytest.mark.parametrize("n_out", [1, 5, 19, 100])
 def test_conv_n_out_not_multiple_of_16(n_out):
     # output channel counts off the 16-lane grid, at 512 input channels; 100
@@ -694,6 +722,22 @@ def test_epilogue_matches_per_channel_loop(c):
             assert np.array_equal(got.to_bits(), want), pool
             # the lanes past the last channel are zero in every word
             assert np.array_equal(got.words, BinaryTensor.from_bits(want).words), pool
+
+
+@pytest.mark.parametrize("c", [1, 5, 17, 33])
+def test_layer_step_leaves_masked_lanes_zero(c):
+    # a layer step's maps keep their words unscanned, so the lanes past the
+    # last channel must come out zero: on maps that compare in one broadcast
+    # (3 x 5, and 4 x 4 under a pool) and in rows of pixels (20 x 24)
+    rng = np.random.default_rng(30 + c)
+    unused = np.uint16(0xFFFF ^ lane_mask(c, n_groups(c) - 1))
+    for pool in ("none", "max", "avg"):
+        for h, w in [(3, 5), (4, 4), (20, 24)]:
+            l, x, wts = column_layer(rng, 3, 1, "same0", pool, n_out=c, h=h, w=w)
+            res = layer_forward(x, l, wts)
+            assert not (res.bits.words[-1] & unused).any(), (pool, h, w)
+            want = per_channel_epilogue(res.sums.values, l.thresholds, pool)
+            assert np.array_equal(res.bits.to_bits(), want), (pool, h, w)
 
 
 def test_unpack_bipolar_roundtrip():
