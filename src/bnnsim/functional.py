@@ -9,7 +9,11 @@ reverses the comparison direction.
 
 The conv kernel runs one GEMM per call where the layer's weights fit one
 block and its output rows one chunk, as on small maps; larger layers run
-one GEMM per weight block and row chunk.  The epilogue
+one GEMM per weight block and row chunk.  There a block of T = 256 to
+2047 taps pairs its output channels: one float32 GEMM column carries the
++/-1 dots of channels j and j + ceil(m/2) as d_j + 4096*d_{j+h}, exact
+since 4097T < 2**24, and an integer decode splits them again, so such a
+block runs half the GEMM columns for the same sums.  The epilogue
 (binarize, pool, pack) runs channels-last, as the conv kernel writes its
 sums: the bits of a layer's output are packed from pixel-major sums, and
 its words are a (groups, H, W) view of (H, W, groups) memory whose lanes
@@ -30,6 +34,11 @@ POOL_WINDOW = 4  # 2x2, stride 2
 _BUFFER_CAP = 1 << 19  # float32 entries (2 MB) in each of xnor_conv's window and product buffers
 _WEIGHT_CAP = 1 << 19  # float32 entries (2 MB) in its weight buffer
 _MAX_PIXELS = 1024  # output pixels a row chunk's GEMM gets at most
+_PAIR_SHIFT = 12  # bits of a paired GEMM column's low dot
+# Taps T of a weight block whose dots pair: up to 2047, where 2T < 4096 and
+# 4097T < 2**24 keep them exact; from 256, where the GEMM work saved first
+# pays for the decode (3x3 convs of 16 input channels, 144 taps, ran 9-18% slower).
+_PAIR_TAPS = range(256, 2048)
 _ROW = 1 << 13  # sums per row of the epilogue's threshold compares
 _UINTS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}  # by width in bytes
 
@@ -82,10 +91,6 @@ class ThresholdVector:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @classmethod
-    def constant(cls, n_out: int, t: int, flip: bool = False) -> "ThresholdVector":
-        return cls(np.full(n_out, t, dtype=np.int32), np.full(n_out, flip, dtype=bool))
 
 
 def real_sign_bit(s, c: float, alpha: float, bn: BatchNorm, n: int):
@@ -166,10 +171,23 @@ def _bipolar_lanes(words: np.ndarray, channels: int) -> np.ndarray:
     return pm[..., :channels]
 
 
-def _summed_weights(weights: np.ndarray, n_in: int, buf: np.ndarray) -> np.ndarray:
+def _summed_weights(
+    weights: np.ndarray, n_in: int, buf: np.ndarray, paired: bool = False
+) -> np.ndarray:
     """(m, taps) float32 rows of packed weights (bases, m, ...) in the flat
-    buffer `buf`: each tap's +/-1 weights summed over the bases."""
+    buffer `buf`: each tap's +/-1 weights summed over the bases.  `paired`
+    gives h = ceil(m/2) rows w_j + 4096*w_{j+h} instead (row h-1 alone where
+    m is odd), built from the integer sums straight into `buf`."""
     w_pm = _bipolar_lanes(weights, n_in)
+    if paired:  # a paired block has under 2048 bases: int16 sums them exactly
+        w = w_pm[0] if len(w_pm) == 1 else np.add.reduce(w_pm, axis=0, dtype=np.int16)
+        h = (len(w) + 1) // 2
+        n = len(w) - h  # rows with a partner
+        w_sum = buf[:h * w[0].size].reshape(h, *w.shape[1:])
+        np.multiply(w[h:], 1 << _PAIR_SHIFT, out=w_sum[:n], dtype=np.float32)
+        w_sum[:n] += w[:n]
+        w_sum[n:] = w[n:h]
+        return w_sum.reshape(h, -1)
     w_sum = buf[:w_pm[0].size].reshape(w_pm.shape[1:])
     np.copyto(w_sum, w_pm[0])
     # int8 sums 127 +/-1 weights exactly; 2.8x faster than one float32 sum
@@ -210,6 +228,19 @@ def xnor_conv(
     channel-major dots add in transposed.  A GEMM's partial dots are
     integers of magnitude <= bases*k*k*n_in, exact in float32 below 2**24;
     they add up, with the tap count, in int32.
+
+    A weight block of m channels and T = bases*tu*tv*n_in taps in
+    _PAIR_TAPS (256 to 2047) pairs its channels: with h = ceil(m/2), GEMM
+    column j < h holds the summed weights w_j + 4096*w_{j+h} (w_{h-1} alone
+    where m is odd), built from the integer weight sums, so a chunk's GEMM
+    gives P = d_j + 4096*d_{j+h}.  Each partial sum of P is an integer of
+    magnitude <= 4097T < 2**24, exact in float32.  In int32, U = P + 4097T
+    holds d_j + T in its low 12 bits and d_{j+h} + T above them, both in
+    [0, 2T] with 2T < 4096.  They decode in the block's channel order,
+    straight into the sums on the first tap block and through a buffer that
+    adds in on later ones; each tap block's extra T comes off the first
+    block's tap count.  The bound is exactness; the floor is cost: under 256
+    taps the decode costs more than the GEMM columns it saves.
 
     A call whose weights fit one block under _WEIGHT_CAP and whose windows
     one chunk under _BUFFER_CAP and _MAX_PIXELS runs one GEMM: the windows
@@ -265,11 +296,18 @@ def xnor_conv(
             np.matmul(a, w_sum.T, out=out, casting="unsafe")
         sums += taps
     else:
-        w_buf = np.empty(m * tu * tv * n_in, dtype=np.float32)
+        block_taps = bases * tu * tv * n_in
+        paired = block_taps in _PAIR_TAPS
+        n_cols = (m + 1) // 2 if paired else m  # GEMM columns a block runs
+        # a tap block's paired fields decode to d + block_taps: the first nets them out
+        first = taps - block_taps * -(-k // tu) * -(-k // tv)
+        w_buf = np.empty(n_cols * tu * tv * n_in, dtype=np.float32)
         cols = np.empty(chunk * ow * tu * tv * n_in, dtype=np.float32)
-        prod = np.empty(chunk * ow * m, dtype=np.float32)
+        prod = np.empty(chunk * ow * n_cols, dtype=np.float32)
+        dec = np.empty(chunk * ow * m if paired else 0, dtype=np.int32)  # later tap blocks' fields
         for o0, u0, v0 in itertools.product(range(0, n_out, m), range(0, k, tu), range(0, k, tv)):
-            w_sum = _summed_weights(weights[:, o0:o0 + m, u0:u0 + tu, v0:v0 + tv], n_in, w_buf)
+            w_sum = _summed_weights(weights[:, o0:o0 + m, u0:u0 + tu, v0:v0 + tv], n_in, w_buf,
+                                    paired)
             for y0 in range(0, oh, chunk):
                 src = win[y0:y0 + chunk, :, u0:u0 + tu, v0:v0 + tv]
                 a = cols[:src.size].reshape(src.shape)
@@ -281,8 +319,17 @@ def xnor_conv(
                 else:
                     out = np.matmul(a, w_sum.T, out=prod[:n].reshape(len(a), -1))
                 block = sums[y0:y0 + chunk, :, o0:o0 + m]  # the first tap block writes it
-                np.add(out.reshape(block.shape), block if u0 or v0 else taps, out=block,
-                       dtype=np.int32, casting="unsafe")  # int32: taps + a partial dot may pass 2**24
+                if paired:  # U = P + 4097T: d_j + T in its low 12 bits, d_{j+h} + T above
+                    u = np.add(out, block_taps * ((1 << _PAIR_SHIFT) + 1), out=out.view(np.int32),
+                               dtype=np.int32, casting="unsafe").reshape(*block.shape[:2], -1)
+                    h = u.shape[-1]
+                    fields = dec[:block.size].reshape(block.shape) if u0 or v0 else block
+                    np.bitwise_and(u, (1 << _PAIR_SHIFT) - 1, out=fields[..., :h])
+                    np.right_shift(u[..., :block.shape[-1] - h], _PAIR_SHIFT, out=fields[..., h:])
+                    block += fields if u0 or v0 else first
+                else:
+                    np.add(out.reshape(block.shape), block if u0 or v0 else taps, out=block,
+                           dtype=np.int32, casting="unsafe")  # int32: taps + a partial dot may pass 2**24
     sums >>= 1
     return IntTensor(n_out, oh, ow, sums.transpose(2, 0, 1))
 

@@ -112,13 +112,13 @@ class PowerReport:
         return "\n".join(lines) + "\n"
 
 
-def _layer_power(calib: CalibrationTable, ls: LayerStats) -> tuple[float, dict, bool]:
-    """Core power (mW) of one layer run plus its component split."""
+def _layer_power(calib: CalibrationTable, ls: LayerStats, cycles: int) -> tuple[dict, bool]:
+    """Core power (mW) components of one layer run of `cycles` cycles, and
+    whether its kernel lies outside the calibration."""
     full, gated, flagged = calib.anchors(ls.k)
     slope = (full - gated) / (calib.full_banks - calib.gated_banks)
     f = calib.breakdown
-    cycles = ls.cycles_total
-    op_ratio = ls.util_kernel_limited
+    op_ratio = ls.xnor_ops_done / (cycles * kernel_peak(ls.k)) if cycles else 0.0
     mem_ratio = (ls.mem_accesses / cycles) / reference_mem_rate(ls.k) if cycles else 0.0
     comp = {
         "compute": full * f["compute"] * op_ratio,
@@ -128,7 +128,7 @@ def _layer_power(calib: CalibrationTable, ls: LayerStats) -> tuple[float, dict, 
         "control": full * f["control"],
         "other": full * f["other"],
     }
-    return sum(comp.values()), comp, flagged
+    return comp, flagged
 
 
 def core_power(arch, stats: Stats) -> tuple[float, dict, list]:
@@ -142,10 +142,10 @@ def core_power(arch, stats: Stats) -> tuple[float, dict, list]:
     flags = []
     total_cycles = 0
     for ls in stats.layers:
-        p, comp, flagged = _layer_power(calib, ls)
+        cycles = ls.cycles_total
+        comp, flagged = _layer_power(calib, ls, cycles)
         if flagged and f"kernel {ls.k} outside calibration (interpolated)" not in flags:
             flags.append(f"kernel {ls.k} outside calibration (interpolated)")
-        cycles = ls.cycles_total
         total_cycles += cycles
         for c in COMPONENTS:
             energy[c] += comp[c] * cycles

@@ -30,6 +30,8 @@ from bnnsim.network import LayerConfig
 from bnnsim.oracle import bipolar_conv, unpack_bipolar, unpack_weights_bipolar
 from bnnsim.tensors import BinaryTensor, IntTensor, binarize_pack, lane_mask, n_groups
 
+from helpers import constant_thresholds
+
 
 def pack_weights(bip):
     """(n_out, n_in, k, k) bipolar -> packed (n_out, k, k, groups)."""
@@ -228,18 +230,48 @@ def block_sizes(n, size):
     return [min(size, n - i) for i in range(0, n, size)]
 
 
+def gemm(pixels, taps, columns):
+    """Operand shapes of one GEMM: windows @ weights, or weights @ windows
+    where the chunk has fewer pixels than the GEMM has weight columns."""
+    if pixels < columns:
+        return (columns, taps), (taps, pixels)
+    return (pixels, taps), (taps, columns)
+
+
+def gemm_columns(block_taps, channels):
+    """Weight columns of a block's GEMM: two output channels a column where
+    the block's taps lie in the paired range, one otherwise."""
+    return -(-channels // 2) if block_taps in functional._PAIR_TAPS else channels
+
+
+@pytest.fixture
+def gemms(monkeypatch):
+    """The operand shapes of every np.matmul call the test makes."""
+    shapes = []
+    matmul = np.matmul
+
+    def spy(a, b, **kw):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return shapes
+
+
 @pytest.mark.parametrize("k, stride, bases",
                          [(1, 1, 1), (3, 1, 2), (3, 2, 1), (5, 2, 3), (7, 1, 1)])
-def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
+def test_conv_small_cap_blocks_and_chunks(monkeypatch, gemms, k, stride, bases):
     # small caps force each blocking path in turn, each with a short last
     # row chunk, kernel-row block, tap block and channel block where it
     # splits (13 rows and 13 channels in twos, kernel rows and taps of k > 1
     # in twos, 13 channels in a block of 10 and one of 3); the GEMM shapes
     # show the path is taken, and every path gives the per-word count.  A
-    # chunk of fewer pixels than its block has channels multiplies weights
-    # by windows: one-row chunks under the pixel ceiling (9 or 5 pixels)
-    # against 13 or 10 channels always do, two-row chunks against 13
-    # channels do at stride 2 and in the short last chunk
+    # block of 256 to 2047 taps (bases x kernel rows x taps of a row x 17)
+    # runs two channels a GEMM column, the last alone where they are odd.
+    # A chunk of fewer pixels than its GEMM has weight columns multiplies
+    # weights by windows (one-row chunks under the pixel ceiling, 9 or 5
+    # pixels, against 13 or 10 unpaired channels), and every case runs both
+    # orders
     n_in, n_out, h, w = 17, 13, 13, 9
     rng = np.random.default_rng(10 * k + stride + bases)
     x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
@@ -247,21 +279,6 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
     want = sum(per_bit_conv(x, wts[b], k, stride, "same1") for b in range(bases))
     oh, ow = want.shape[1:]
     assert oh % 2 and n_out % 2 and k % 2
-    gemms = []
-    matmul = np.matmul
-
-    def spy(a, b, **kw):
-        gemms.append((a.shape, b.shape))
-        return matmul(a, b, **kw)
-
-    def gemm(pixels, taps, channels):
-        """Operand shapes of one GEMM: windows @ weights, or weights @
-        windows where the chunk has fewer pixels than the block channels."""
-        if pixels < channels:
-            return (channels, taps), (taps, pixels)
-        return (pixels, taps), (taps, channels)
-
-    monkeypatch.setattr(np, "matmul", spy)
     weights_first = set()
     for name, ((buf, wcap, ceiling), (rows, tu, tv, m)) in blockings(
             ow, k, n_in, n_out).items():
@@ -270,12 +287,62 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, k, stride, bases):
         monkeypatch.setattr(functional, "_MAX_PIXELS", ceiling)
         gemms.clear()
         assert np.array_equal(xnor_conv(x, wts, k, stride, "same1").values, want), name
-        sizes = [(r * ow, u * v * n_in, mm) for mm in block_sizes(n_out, m)
+        sizes = [(r * ow, u * v * n_in, gemm_columns(bases * tu * tv * n_in, mm))
+                 for mm in block_sizes(n_out, m)
                  for u in block_sizes(k, tu) for v in block_sizes(k, tv)
                  for r in block_sizes(oh, rows or oh)]
         assert sorted(gemms) == sorted(gemm(*size) for size in sizes), name
-        weights_first |= {pixels < channels for pixels, _, channels in sizes}
+        weights_first |= {pixels < columns for pixels, _, columns in sizes}
     assert weights_first == {False, True}  # both orders ran
+
+
+@pytest.mark.parametrize("bases, n_in, stride, padding, cols, data", [
+    (1, 2047, 1, "same1", None, "extreme"),  # T = 2047: paired, at the bound
+    (1, 2047, 2, "same0", (1, 3), "random"),
+    (3, 682, 1, "none", None, "random"),  # T = 2046: paired
+    (3, 682, 2, "same1", (0, 2), "extreme"),
+    (2, 1024, 1, "same1", None, "extreme"),  # T = 2048: unpaired
+    (2, 1024, 2, "none", None, "random"),
+])
+def test_conv_pairs_channels_up_to_2047_taps(monkeypatch, gemms, bases, n_in, stride, padding,
+                                             cols, data):
+    # Caps that split a 3 x 3 kernel into single-tap blocks of T = bases x
+    # n_in taps, 7 channels into blocks of 5 and 2, and the output rows into
+    # chunks of 2: two channels share a GEMM column (3 and 1 columns) where
+    # T <= 2047, and the decoded halves d + T of each column span [0, 2T] on
+    # the "extreme" maps, whose windows all agree with one channel of a pair
+    # and all disagree with the other.  At the shipped caps the same
+    # operands run the one-GEMM path, unpaired.
+    k, n_out, h, w = 3, 7, 5, 5
+    g = n_groups(n_in)
+    rng = np.random.default_rng(bases * n_in + stride)
+    if data == "extreme":
+        x = BinaryTensor(n_in, h, w, np.full((g, h, w), 0xFFFF, dtype=np.uint16))
+        agree = np.array([1, 0, 1, 0, 1, 0, 0], dtype=bool)  # pairs (0, 3), (1, 4), (5, 6)
+        wts = np.where(agree[None, :, None, None, None], 0xFFFF, 0).astype(np.uint16)
+        wts = np.broadcast_to(wts, (bases, n_out, k, k, g))
+    else:
+        x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
+        wts = w1.reshape(bases, n_out, k, k, g)
+    want = sum(per_bit_conv(x, wts[b], k, stride, padding) for b in range(bases))
+    taps = bases * k * k * n_in
+    if data == "extreme":
+        assert {0, taps} <= set(np.unique(want))
+    lo, hi = cols or (0, want.shape[2])
+    want = want[:, :, lo:hi]
+    oh, ow = want.shape[1:]
+    gemms.clear()
+    assert np.array_equal(xnor_conv(x, wts, k, stride, padding, cols).values, want)
+    assert gemms == [gemm(oh * ow, k * k * n_in, n_out)]  # one GEMM at the shipped caps
+
+    monkeypatch.setattr(functional, "_BUFFER_CAP", 1 << 30)
+    monkeypatch.setattr(functional, "_WEIGHT_CAP", 5 * n_in)
+    monkeypatch.setattr(functional, "_MAX_PIXELS", 2 * ow)
+    gemms.clear()
+    assert np.array_equal(xnor_conv(x, wts, k, stride, padding, cols).values, want)
+    columns = [3, 1] if bases * n_in <= 2047 else [5, 2]
+    assert sorted(gemms) == sorted(gemm(r * ow, n_in, c) for c in columns
+                                   for _ in range(k * k) for r in block_sizes(oh, 2))
 
 
 @pytest.mark.parametrize("bases", [1, 3])
@@ -607,31 +674,31 @@ def test_fold_thresholds_pool_domain():
 # ---------------------------------------------------------------------------
 
 def test_binarize_below_threshold():
-    th = ThresholdVector.constant(1, 5)
+    th = constant_thresholds(1, 5)
     s = IntTensor(1, 1, 1, np.array([[[4]]], dtype=np.int32))
     assert threshold_binarize(s, th).to_bits()[0, 0, 0] == 0
 
 
 def test_binarize_at_threshold():
-    th = ThresholdVector.constant(1, 5)
+    th = constant_thresholds(1, 5)
     s = IntTensor(1, 1, 1, np.array([[[5]]], dtype=np.int32))
     assert threshold_binarize(s, th).to_bits()[0, 0, 0] == 1
 
 
 def test_binarize_flipped():
-    th = ThresholdVector.constant(1, 5, flip=True)
+    th = constant_thresholds(1, 5, flip=True)
     s = IntTensor(1, 1, 1, np.array([[[4]]], dtype=np.int32))
     assert threshold_binarize(s, th).to_bits()[0, 0, 0] == 1
 
 
 def test_maxpool_one_hit_wins():
-    th = ThresholdVector.constant(1, 5)
+    th = constant_thresholds(1, 5)
     s = IntTensor(1, 2, 2, np.array([[[4, 4], [4, 6]]], dtype=np.int32))
     assert binary_maxpool(s, th).to_bits()[0, 0, 0] == 1
 
 
 def test_maxpool_all_below():
-    th = ThresholdVector.constant(1, 5)
+    th = constant_thresholds(1, 5)
     s = IntTensor(1, 2, 2, np.full((1, 2, 2), 4, dtype=np.int32))
     assert binary_maxpool(s, th).to_bits()[0, 0, 0] == 0
 
@@ -654,14 +721,14 @@ def test_maxpool_matches_integer_oracle():
 
 
 def test_maxpool_truncates_odd_edge():
-    th = ThresholdVector.constant(1, 1)
+    th = constant_thresholds(1, 1)
     s = IntTensor(1, 3, 3, np.arange(9, dtype=np.int32).reshape(1, 3, 3))
     out = binary_maxpool(s, th)
     assert (out.height, out.width) == (1, 1)
 
 
 def test_avgpool_window_examples():
-    th = ThresholdVector.constant(1, 5)
+    th = constant_thresholds(1, 5)
     s = IntTensor(1, 2, 2, np.full((1, 2, 2), 5, dtype=np.int32))
     assert avg_pool_threshold(s, th).to_bits()[0, 0, 0] == 1  # 20 >= 20
     s = IntTensor(1, 2, 2, np.array([[[4, 5], [5, 5]]], dtype=np.int32))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bnnsim.errors import FormatError, ShapeError
-from bnnsim.functional import ThresholdVector, run_network_reference
+from bnnsim.functional import run_network_reference
 from bnnsim.netio import (
     format_network,
     load_network,
@@ -22,6 +22,8 @@ from bnnsim.netio import (
 )
 from bnnsim.network import LayerConfig, NetworkDesc
 from bnnsim.oracle import run_bipolar_reference
+
+from helpers import constant_thresholds
 
 
 def tiny_net(**kw):
@@ -204,7 +206,7 @@ def run_both(net, x, weights):
 def test_identity_single_layer():
     # one input channel, +1 weight, T=1: a single xnor passes the bit through
     net = NetworkDesc("t", 1, 3, 3, [LayerConfig(name="a", k=1, n_out=1)]).validate()
-    net.layers[0].thresholds = ThresholdVector.constant(1, 1)
+    net.layers[0].thresholds = constant_thresholds(1, 1)
     rng = np.random.default_rng(25)
     x = random_input(net, rng)
     w = np.ones((1, 1, 1, 1, 1), dtype=np.uint16)

@@ -16,6 +16,8 @@ from bnnsim.scheduler import plan_network
 from bnnsim.simulator import execute
 from bnnsim.tensors import BinaryTensor
 
+from helpers import constant_thresholds
+
 TINY = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
 
 
@@ -130,9 +132,9 @@ def test_saturate_clips_conv_sum_before_residual():
     # (-1), so b adds -1 after clipping: 126, which is below b's threshold
     net = net_of(
         64, 4, 4,
-        LayerConfig(name="a", k=3, n_out=64, thresholds=ThresholdVector.constant(64, 128)),
+        LayerConfig(name="a", k=3, n_out=64, thresholds=constant_thresholds(64, 128)),
         LayerConfig(name="b", k=3, n_out=64, residual="a", residual_mode="binary",
-                    thresholds=ThresholdVector.constant(64, 127)),
+                    thresholds=constant_thresholds(64, 127)),
         acc_bits=8, acc_mode="saturate",
     )
     zeros = {l.name: np.zeros((1, 64, 3, 3, 4), dtype=np.uint16) for l in net.layers}
