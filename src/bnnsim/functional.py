@@ -8,21 +8,25 @@ Channels whose folded affine scale is negative carry a `flip` flag that
 reverses the comparison direction.
 
 The conv kernel runs one GEMM per call where the layer's weights fit one
-block and its output rows one chunk, as on small maps; larger layers run
-one GEMM per weight block and row chunk.  There a block of T = 256 to
-2047 taps pairs its output channels: one float32 GEMM column carries the
-+/-1 dots of channels j and j + ceil(m/2) as d_j + 4096*d_{j+h}, exact
-since 4097T < 2**24, and an integer decode splits them again, so such a
-block runs half the GEMM columns for the same sums.  The epilogue
-(binarize, pool, pack) runs channels-last, as the conv kernel writes its
-sums: the bits of a layer's output are packed from pixel-major sums, and
-its words are a (groups, H, W) view of (H, W, groups) memory whose lanes
-past the last channel are zero.
+block and its output rows one chunk, as on small maps.  Larger layers copy
+each input row's windows once per row chunk (row windows) and run one GEMM
+per kernel row, each reading a view of that copy, over groups of kernel
+rows and blocks of output channels; where a kernel row has few taps
+against many channels a window holds a whole group of kernel rows
+instead.  A group of T = 256 to 2047 taps pairs its output channels: one
+float32 GEMM column carries the +/-1 dots of channels j and j + ceil(m/2)
+as d_j + 4096*d_{j+h}, exact since 4097T < 2**24, and one integer decode
+a group splits them again, so such a group runs half the GEMM columns for
+the same sums.  The epilogue (binarize, pool, pack) runs channels-last, as
+the conv kernel writes its sums: the bits of a layer's output are packed
+from pixel-major sums, and its words are a (groups, H, W) view of
+(H, W, groups) memory whose lanes past the last channel are zero.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,12 +179,21 @@ def _summed_weights(
     weights: np.ndarray, n_in: int, buf: np.ndarray, paired: bool = False
 ) -> np.ndarray:
     """(m, taps) float32 rows of packed weights (bases, m, ...) in the flat
-    buffer `buf`: each tap's +/-1 weights summed over the bases.  `paired`
-    gives h = ceil(m/2) rows w_j + 4096*w_{j+h} instead (row h-1 alone where
-    m is odd), built from the integer sums straight into `buf`."""
-    w_pm = _bipolar_lanes(weights, n_in)
-    if paired:  # a paired block has under 2048 bases: int16 sums them exactly
-        w = w_pm[0] if len(w_pm) == 1 else np.add.reduce(w_pm, axis=0, dtype=np.int16)
+    buffer `buf`: each tap's +/-1 weights summed over the bases, as twice
+    the count of its one bits less the base count.  `paired` gives h =
+    ceil(m/2) rows w_j + 4096*w_{j+h} instead (row h-1 alone where m is
+    odd), built from the integer sums straight into `buf`."""
+    bits = unpack_lanes(weights, LANES * weights.shape[-1])  # masked lanes too, contiguous
+    bases = len(bits)
+    # counts in unsigned ints whose signed view holds 2*count - bases: numpy
+    # sums the uint8 bits over the bases axis 1.6x faster than into int8
+    dtype = np.uint8 if bases < 128 else np.uint16 if bases < 1 << 15 else np.uint32
+    w = bits[0] if bases == 1 else np.add.reduce(bits, axis=0, dtype=dtype)
+    w = w.view(f"i{w.itemsize}")
+    w += w  # may wrap; 2*count - bases fits the dtype, so it comes out exact
+    w -= bases
+    w = w[..., :n_in]
+    if paired:
         h = (len(w) + 1) // 2
         n = len(w) - h  # rows with a partner
         w_sum = buf[:h * w[0].size].reshape(h, *w.shape[1:])
@@ -188,11 +201,8 @@ def _summed_weights(
         w_sum[:n] += w[:n]
         w_sum[n:] = w[n:h]
         return w_sum.reshape(h, -1)
-    w_sum = buf[:w_pm[0].size].reshape(w_pm.shape[1:])
-    np.copyto(w_sum, w_pm[0])
-    # int8 sums 127 +/-1 weights exactly; 2.8x faster than one float32 sum
-    for b0 in range(1, len(w_pm), 127):
-        w_sum += np.add.reduce(w_pm[b0:b0 + 127], axis=0, dtype=np.int8)
+    w_sum = buf[:w.size].reshape(w.shape)
+    np.copyto(w_sum, w)
     return w_sum.reshape(len(w_sum), -1)
 
 
@@ -217,35 +227,46 @@ def xnor_conv(
     Over N lanes popcount(xnor) = (N + dot)/2, dot the sum of +/-1 products,
     and the bases' dots sum to one dot against their summed +/-1 weights.
     The map unpacks once into a channels-last +/-1 array inside its pad
-    border; a window view of it (oh, ow, k, k, n_in) copies, a chunk of
-    output rows at a time, into a float32 buffer for one GEMM (im2col)
-    against the summed weights.  Large layers split the taps, and then the
-    output channels, into blocks whose partial dots add up in the result,
-    which is a (n_out, oh, ow) view of pixel-major sums.  A GEMM multiplies
-    windows by weights, giving pixel-major dots; where a chunk has fewer
-    pixels than its block has channels (ResNet stage 4: 49 against 512) it
-    multiplies weights by windows, which BLAS runs faster there, and its
-    channel-major dots add in transposed.  A GEMM's partial dots are
-    integers of magnitude <= bases*k*k*n_in, exact in float32 below 2**24;
-    they add up, with the tap count, in int32.
-
-    A weight block of m channels and T = bases*tu*tv*n_in taps in
-    _PAIR_TAPS (256 to 2047) pairs its channels: with h = ceil(m/2), GEMM
-    column j < h holds the summed weights w_j + 4096*w_{j+h} (w_{h-1} alone
-    where m is odd), built from the integer weight sums, so a chunk's GEMM
-    gives P = d_j + 4096*d_{j+h}.  Each partial sum of P is an integer of
-    magnitude <= 4097T < 2**24, exact in float32.  In int32, U = P + 4097T
-    holds d_j + T in its low 12 bits and d_{j+h} + T above them, both in
-    [0, 2T] with 2T < 4096.  They decode in the block's channel order,
-    straight into the sums on the first tap block and through a buffer that
-    adds in on later ones; each tap block's extra T comes off the first
-    block's tap count.  The bound is exactness; the floor is cost: under 256
-    taps the decode costs more than the GEMM columns it saves.
+    border.  The result is a (n_out, oh, ow) view of pixel-major sums.
 
     A call whose weights fit one block under _WEIGHT_CAP and whose windows
-    one chunk under _BUFFER_CAP and _MAX_PIXELS runs one GEMM: the windows
-    convert to float32 in one copy and the dots land, cast, in the int32
-    sums, with no product buffer.
+    one chunk under _BUFFER_CAP and _MAX_PIXELS runs one GEMM (im2col): a
+    window view (oh, ow, k, k, n_in) converts to float32 in one copy and
+    the dots land, cast, in the int32 sums.
+
+    Larger calls lower each input row once (row windows, after MEC: Cho &
+    Brand, ICML 2017).  For a chunk of output rows one copy fills a float32
+    buffer (phases, rows + (k-1)//stride, ow, k, n_in); phase p holds the
+    input rows stride*y + p, p < min(stride, k), each as its ow windows of
+    k taps.  Kernel row u reads rows [u//stride, u//stride + rows) of phase
+    u % stride: a contiguous (rows*ow, k*n_in) matrix at every stride, whose
+    GEMM against that kernel row's weights gives its partial dots.  The
+    weights split into groups of g kernel rows, then blocks of m output
+    channels, whose GEMM columns fit _WEIGHT_CAP; each block converts once
+    per call, and a kernel row's weights are a strided view of its group's.
+    Where a kernel row has fewer taps than twice its GEMM's columns, the
+    adds of k products cost more than the copy saves: there a window holds
+    the whole group's kernel rows, the same layout with q = g rows in place
+    of one (at q = k, im2col), and a group runs one GEMM a chunk.  A GEMM
+    multiplies windows by weights, giving pixel-major dots; where a chunk
+    has fewer pixels than its GEMM has weight columns (ResNet stage 4: 49
+    against 256) it multiplies weights by windows, which BLAS runs faster
+    there, and its channel-major dots are read transposed.
+
+    A group's windows add their dots in float32, and the group adds its
+    dots plus its taps T = bases*g*k*n_in to the int32 sums (the first
+    group writes them), so the sums end at dot + bases*k*k*n_in with no
+    correction.  An unpaired group's partial dots are integers of magnitude
+    <= bases*k*k*n_in < 2**24, exact in float32.  A group whose T lies in
+    _PAIR_TAPS (256 to 2047) pairs its channels: with h = ceil(m/2), GEMM
+    column j < h holds the summed weights w_j + 4096*w_{j+h} (w_{h-1} alone
+    where m is odd), so its windows add up to P = d_j + 4096*d_{j+h}, every
+    partial sum an integer of magnitude <= 4097T < 2**24, exact in float32.
+    In int32, U = P + 4097T holds d_j + T in its low 12 bits and d_{j+h} + T
+    above them, both in [0, 2T] with 2T < 4096, and they decode once a
+    group and chunk, in the block's channel order.  The bound is exactness;
+    the floor is cost: under 256 taps the decode costs more than the GEMM
+    columns it saves.
     """
     weights = np.asarray(weights, dtype=np.uint16)
     if weights.ndim == 4:
@@ -266,27 +287,46 @@ def xnor_conv(
     c0, c1 = lo * stride - p, (hi - 1) * stride - p + k  # input columns read
     s0, s1 = max(c0, 0), min(c1, x.width)
     ow = hi - lo
+    sums = np.empty((oh, ow, n_out), dtype=np.int32)  # pixel-major, as the GEMMs write
+    one_gemm = (n_out * k * k * n_in <= _WEIGHT_CAP and oh * ow <= _MAX_PIXELS
+                and oh * ow * max(k * k * n_in, n_out) <= _BUFFER_CAP)
+    height = x.height + 2 * p
+    if not one_gemm:
+        # Groups of g kernel rows by m output channels, as many rows as fit
+        # the weight buffer, then as many channels.  A window holds q kernel
+        # rows: one (row windows) where a kernel row has at least twice as
+        # many taps as its GEMM has columns, else the whole group, where the
+        # copy costs less than adding the products of few-tap GEMMs (convs
+        # of 4 to 20 inputs into 32 to 64 outputs ran 10-24% slower on row
+        # windows, 16 into 16 8% faster).  Chunks stop at _MAX_PIXELS
+        # pixels: past that, a layer of few taps and channels (sed c1, 288
+        # taps by 32) loses more to adds out of cache than its GEMMs gain.
+        row = k * n_in  # taps of a kernel row
 
-    pm = np.full((x.height + 2 * p, c1 - c0, n_in), 1 if padding == "same1" else -1,
-                 dtype=np.int8)
+        def paired(g):  # a group of g kernel rows puts two channels in a GEMM column
+            return bases * g * row in _PAIR_TAPS
+
+        def columns(g, m):  # GEMM columns of m channels by g kernel rows
+            return (m + 1) // 2 if paired(g) else m
+
+        g = next((g for g in range(k, 1, -1) if columns(g, n_out) * g * row <= _WEIGHT_CAP), 1)
+        m = max(1, min(n_out, _WEIGHT_CAP // (g * row) * (2 if paired(g) else 1)))
+        q = 1 if row >= 2 * columns(g, m) else g
+        starts = range(0, k, q)  # first kernel rows of the windows
+        phases = 1 + max(u % stride for u in starts)
+        reach = max(u // stride for u in starts)  # phase rows past a chunk's own
+        chunk = max(1, min(oh, _BUFFER_CAP // (phases * ow * q * row) - reach,
+                           _BUFFER_CAP // (ow * m), _MAX_PIXELS // ow))
+        # the copies may read rows past the padded map that no GEMM reads
+        height = max(height, stride * (oh - 1 + reach) + phases + q - 1)
+
+    pm = np.full((height, c1 - c0, n_in), 1 if padding == "same1" else -1, dtype=np.int8)
     pm[p:p + x.height, s0 - c0:s1 - c0] = _bipolar_lanes(
         x.words[:, :, s0:s1].transpose(1, 2, 0), n_in)
     sy, sx, sc = pm.strides
-    win = np.ndarray((oh, ow, k, k, n_in), np.int8, pm, 0, (stride * sy, stride * sx, sy, sx, sc))
-
-    # Weight blocks of tu x tv taps by m output channels, converted once per
-    # call; whole kernel rows first, then taps of one row, then channels.
-    # Taps split too where one row of windows would overflow _BUFFER_CAP.
-    # Chunks stop at _MAX_PIXELS pixels: past that, a layer of few taps and
-    # channels (sed c1, 288 taps by 32) loses more to window copies and adds
-    # out of cache than its GEMMs gain.
-    k_cap = min(_WEIGHT_CAP // n_out, _BUFFER_CAP // ow)
-    tu = max(1, min(k, k_cap // (k * n_in)))
-    tv = k if k * n_in <= k_cap else max(1, min(k, k_cap // n_in))
-    m = max(1, min(n_out, _WEIGHT_CAP // (tu * tv * n_in)))
-    chunk = max(1, min(oh, _BUFFER_CAP // (ow * max(tu * tv * n_in, m)), _MAX_PIXELS // ow))
-    sums = np.empty((oh, ow, n_out), dtype=np.int32)  # pixel-major, as the GEMMs write
-    if tu == tv == k and m == n_out and chunk == oh:  # one weight block, one row chunk
+    if one_gemm:
+        win = np.ndarray((oh, ow, k, k, n_in), np.int8, pm, 0,
+                         (stride * sy, stride * sx, sy, sx, sc))
         a = win.astype(np.float32, order="C").reshape(oh * ow, -1)
         w_sum = _summed_weights(weights, n_in, np.empty(a.shape[1] * n_out, dtype=np.float32))
         out = sums.reshape(len(a), n_out)
@@ -295,41 +335,55 @@ def xnor_conv(
         else:
             np.matmul(a, w_sum.T, out=out, casting="unsafe")
         sums += taps
-    else:
-        block_taps = bases * tu * tv * n_in
-        paired = block_taps in _PAIR_TAPS
-        n_cols = (m + 1) // 2 if paired else m  # GEMM columns a block runs
-        # a tap block's paired fields decode to d + block_taps: the first nets them out
-        first = taps - block_taps * -(-k // tu) * -(-k // tv)
-        w_buf = np.empty(n_cols * tu * tv * n_in, dtype=np.float32)
-        cols = np.empty(chunk * ow * tu * tv * n_in, dtype=np.float32)
-        prod = np.empty(chunk * ow * n_cols, dtype=np.float32)
-        dec = np.empty(chunk * ow * m if paired else 0, dtype=np.int32)  # later tap blocks' fields
-        for o0, u0, v0 in itertools.product(range(0, n_out, m), range(0, k, tu), range(0, k, tv)):
-            w_sum = _summed_weights(weights[:, o0:o0 + m, u0:u0 + tu, v0:v0 + tv], n_in, w_buf,
-                                    paired)
-            for y0 in range(0, oh, chunk):
-                src = win[y0:y0 + chunk, :, u0:u0 + tu, v0:v0 + tv]
-                a = cols[:src.size].reshape(src.shape)
-                np.copyto(a, src)
-                a = a.reshape(-1, w_sum.shape[1])
-                n = len(a) * len(w_sum)
-                if len(a) < len(w_sum):  # fewer pixels than channels: weights first
-                    out = np.matmul(w_sum, a.T, out=prod[:n].reshape(len(w_sum), -1)).T
+        sums >>= 1
+        return IntTensor(n_out, oh, ow, sums.transpose(2, 0, 1))
+
+    groups = [(u0, min(u0 + g, k)) for u0 in range(0, k, g)]
+    w_buf = np.empty(max(columns(u1 - u0, m) * (u1 - u0) for u0, u1 in groups) * row,
+                     dtype=np.float32)
+    windows = np.empty(phases * (chunk + reach) * ow * q * row, dtype=np.float32)
+    prod = np.empty(chunk * ow * m, dtype=np.float32)
+    # later windows' dots while a group's GEMMs run, later groups' sums after
+    part = np.empty(chunk * ow * m if g > q or g < k else 0, dtype=np.float32)
+    dec = part.view(np.int32)
+    y_chunks = range(0, oh, chunk)
+    for o0, (u0, u1) in itertools.product(range(0, n_out, m), groups):
+        t = bases * (u1 - u0) * row
+        w_sum = _summed_weights(weights[:, o0:o0 + m, u0:u1], n_in, w_buf, paired(u1 - u0))
+        w_rows = w_sum.reshape(len(w_sum), u1 - u0, row)
+        for y0 in y_chunks:
+            rows = min(chunk, oh - y0)
+            shape = (phases, rows + reach, ow, q, k, n_in)
+            r = windows[:math.prod(shape)].reshape(phases, -1, q * row)
+            if len(y_chunks) > 1 or not (o0 or u0):  # one copy of the chunk's windows
+                np.copyto(r.reshape(shape), np.ndarray(shape, np.int8, pm, stride * y0 * sy,
+                                                       (sy, stride * sy, stride * sx, sy, sx, sc)))
+            n = rows * ow * len(w_sum)
+            for v0 in range(u0, u1, q):  # the windows of kernel rows [v0, v1)
+                v1 = min(v0 + q, u1)
+                j = v0 // stride * ow
+                a = r[v0 % stride, j:j + rows * ow, :(v1 - v0) * row]
+                w = w_rows[:, v0 - u0:v1 - u0].reshape(len(w_sum), -1)
+                dst = (prod if v0 == u0 else part)[:n]
+                if len(a) < len(w):  # fewer pixels than GEMM columns: weights first
+                    np.matmul(w, a.T, out=dst.reshape(len(w), -1))
                 else:
-                    out = np.matmul(a, w_sum.T, out=prod[:n].reshape(len(a), -1))
-                block = sums[y0:y0 + chunk, :, o0:o0 + m]  # the first tap block writes it
-                if paired:  # U = P + 4097T: d_j + T in its low 12 bits, d_{j+h} + T above
-                    u = np.add(out, block_taps * ((1 << _PAIR_SHIFT) + 1), out=out.view(np.int32),
-                               dtype=np.int32, casting="unsafe").reshape(*block.shape[:2], -1)
-                    h = u.shape[-1]
-                    fields = dec[:block.size].reshape(block.shape) if u0 or v0 else block
-                    np.bitwise_and(u, (1 << _PAIR_SHIFT) - 1, out=fields[..., :h])
-                    np.right_shift(u[..., :block.shape[-1] - h], _PAIR_SHIFT, out=fields[..., h:])
-                    block += fields if u0 or v0 else first
-                else:
-                    np.add(out.reshape(block.shape), block if u0 or v0 else taps, out=block,
-                           dtype=np.int32, casting="unsafe")  # int32: taps + a partial dot may pass 2**24
+                    np.matmul(a, w.T, out=dst.reshape(len(a), -1))
+                if v0 > u0:
+                    prod[:n] += dst
+            out = prod[:n].reshape(len(w), -1).T if len(a) < len(w) else prod[:n].reshape(len(a), -1)
+            block = sums[y0:y0 + rows, :, o0:o0 + m]
+            fields = dec[:block.size].reshape(block.shape) if u0 else block
+            if paired(u1 - u0):  # U = P + 4097T: d_j + T in its low 12 bits, d_{j+h} + T above
+                u = np.add(out, t * ((1 << _PAIR_SHIFT) + 1), out=out.view(np.int32),
+                           dtype=np.int32, casting="unsafe").reshape(*block.shape[:2], -1)
+                h = u.shape[-1]
+                np.bitwise_and(u, (1 << _PAIR_SHIFT) - 1, out=fields[..., :h])
+                np.right_shift(u[..., :block.shape[-1] - h], _PAIR_SHIFT, out=fields[..., h:])
+            else:  # int32: T + a partial dot may pass 2**24
+                np.add(out.reshape(block.shape), t, out=fields, dtype=np.int32, casting="unsafe")
+            if u0:
+                block += fields
     sums >>= 1
     return IntTensor(n_out, oh, ow, sums.transpose(2, 0, 1))
 

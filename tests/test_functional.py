@@ -197,32 +197,17 @@ def test_conv_stride2_unequal_phases(k):
 
 
 def test_conv_tall_map_spans_row_chunks():
-    # 64 x 300 x 8 at k=3: one output row's windows are 8 x 9 x 64 floats, so
-    # the window buffer holds 113 rows (904 pixels, under the pixel ceiling) and
-    # the 300 rows run in three chunks, the last one short
+    # 64 x 300 x 8 at k=3: the whole map's windows overflow the window buffer,
+    # so the rows run in chunks of row windows.  An input row's windows are
+    # 8 x 3 x 64 floats and a chunk reaches 2 rows past its own, so the buffer
+    # holds 339 output rows and the pixel ceiling (128 rows) binds: the 300
+    # rows run in three chunks, the last one short
     assert 300 * 8 * 9 * 64 > functional._BUFFER_CAP
-    assert 300 % (functional._BUFFER_CAP // (8 * 9 * 64)) != 0
-    assert functional._BUFFER_CAP // (8 * 9 * 64) * 8 <= functional._MAX_PIXELS
+    chunk = min(functional._BUFFER_CAP // (8 * 3 * 64) - 2, functional._MAX_PIXELS // 8)
+    assert chunk < 300 and 300 % chunk != 0 and -(-300 // chunk) == 3
     rng = np.random.default_rng(12)
     x, w = random_operands(rng, 64, 300, 8, 4, 3)
     assert np.array_equal(xnor_conv(x, w, 3).values, per_bit_conv(x, w, 3, 1, "same0"))
-
-
-def blockings(ow, k, n_in, n_out):
-    """Settings of (window/product cap, weight cap, pixel ceiling) and the
-    blocking each must take: (rows per chunk or None for all, kernel rows
-    per weight block, taps of a row per block, output channels per block)."""
-    big = 1 << 30
-    return {
-        "row chunks": ((2 * ow * k * k * n_in, big, big), (2, k, k, n_out)),
-        "kernel-row blocks": ((big, 2 * k * n_in * n_out, big), (None, min(k, 2), k, n_out)),
-        "tap blocks": ((big, 2 * n_in * n_out, big), (None, 1, min(k, 2), n_out)),
-        "channel blocks": ((big, 2 * n_in, big), (None, 1, 1, 2)),
-        "chunks in blocks": ((2 * ow * n_in, 2 * n_in, big), (2, 1, 1, 2)),
-        "pixel ceiling": ((big, big, ow), (1, k, k, n_out)),
-        "pixel ceiling in tap blocks": ((big, 2 * n_in * n_out, ow), (1, 1, min(k, 2), n_out)),
-        "pixel ceiling in channel blocks": ((big, 10 * n_in, ow), (1, 1, 1, 10)),
-    }
 
 
 def block_sizes(n, size):
@@ -238,10 +223,50 @@ def gemm(pixels, taps, columns):
     return (pixels, taps), (taps, columns)
 
 
-def gemm_columns(block_taps, channels):
-    """Weight columns of a block's GEMM: two output channels a column where
-    the block's taps lie in the paired range, one otherwise."""
-    return -(-channels // 2) if block_taps in functional._PAIR_TAPS else channels
+def gemm_columns(group_taps, channels):
+    """Weight columns of a group's GEMMs: two output channels a column where
+    the group's taps lie in the paired range, one otherwise."""
+    return -(-channels // 2) if group_taps in functional._PAIR_TAPS else channels
+
+
+def group_rows(cap, k, row, bases, n_out):
+    """Kernel rows in a weight group: the most whose GEMM columns for all
+    output channels fit `cap` floats of row taps each, at least one."""
+    return max([1] + [g for g in range(1, k + 1)
+                      if gemm_columns(bases * g * row, n_out) * g * row <= cap])
+
+
+def conv_gemms(oh, ow, k, n_in, bases, rows, g, q, m, n_out):
+    """(pixels, taps, columns) of each GEMM of the blocked kernel: for each
+    block of m channels, group of g kernel rows and chunk of `rows` output
+    rows, one GEMM per window of q kernel rows of the group."""
+    return [(r * ow, qq * k * n_in, gemm_columns(bases * gg * k * n_in, mm))
+            for mm in block_sizes(n_out, m) for gg in block_sizes(k, g)
+            for r in block_sizes(oh, rows) for qq in block_sizes(gg, q)]
+
+
+def blockings(ow, k, stride, n_in, n_out, bases):
+    """Settings of (window/product cap, weight cap, pixel ceiling) and the
+    blocking each must take: (rows per chunk or None for all, kernel rows
+    per weight group, output channels per block).  Every window holds one
+    kernel row here: a row has 17k taps, at least twice the GEMM columns."""
+    big = 1 << 30
+    row = k * n_in
+    phases, reach = min(stride, k), (k - 1) // stride
+    chunk2 = phases * (2 + reach) * ow * row  # row windows of a 2-row chunk
+    pair_rows = gemm_columns(bases * 2 * row, n_out) * 2 * row  # two kernel rows' weights
+    assert gemm_columns(bases * row, 2) == 2  # single kernel rows do not pair
+    return {
+        "row chunks": ((chunk2, big, big), (2, k, n_out)),
+        "kernel-row groups": ((big, pair_rows, big),
+                              (None, group_rows(pair_rows, k, row, bases, n_out), n_out)),
+        "channel blocks": ((big, 2 * row, big), (None, 1, 2)),
+        "chunks in blocks": ((chunk2, 2 * row, big), (2, 1, 2)),
+        "pixel ceiling": ((big, big, ow), (1, k, n_out)),
+        "pixel ceiling in groups": ((big, pair_rows, ow),
+                                    (1, group_rows(pair_rows, k, row, bases, n_out), n_out)),
+        "pixel ceiling in channel blocks": ((big, 10 * row, ow), (1, 1, 10)),
+    }
 
 
 @pytest.fixture
@@ -259,19 +284,20 @@ def gemms(monkeypatch):
 
 
 @pytest.mark.parametrize("k, stride, bases",
-                         [(1, 1, 1), (3, 1, 2), (3, 2, 1), (5, 2, 3), (7, 1, 1)])
+                         [(1, 1, 1), (3, 1, 2), (3, 2, 1), (5, 2, 3), (7, 1, 1), (7, 2, 2)])
 def test_conv_small_cap_blocks_and_chunks(monkeypatch, gemms, k, stride, bases):
-    # small caps force each blocking path in turn, each with a short last
-    # row chunk, kernel-row block, tap block and channel block where it
-    # splits (13 rows and 13 channels in twos, kernel rows and taps of k > 1
-    # in twos, 13 channels in a block of 10 and one of 3); the GEMM shapes
-    # show the path is taken, and every path gives the per-word count.  A
-    # block of 256 to 2047 taps (bases x kernel rows x taps of a row x 17)
-    # runs two channels a GEMM column, the last alone where they are odd.
-    # A chunk of fewer pixels than its GEMM has weight columns multiplies
-    # weights by windows (one-row chunks under the pixel ceiling, 9 or 5
-    # pixels, against 13 or 10 unpaired channels), and every case runs both
-    # orders
+    # small caps force each blocking path in turn, on the whole map and on a
+    # column stripe, each with a short last row chunk, kernel-row group and
+    # channel block where it splits (13 rows and 13 channels in twos, 13
+    # channels in a block of 10 and one of 3); the GEMM shapes show the path
+    # is taken, and every path gives the per-word count.  Each kernel row
+    # runs its own GEMM over the row windows: at stride 2 the rows come from
+    # two phases, the second one row short where k is odd.  A group of 256
+    # to 2047 taps (bases x kernel rows x k x 17) runs two channels a GEMM
+    # column, the last alone where they are odd.  A chunk of fewer pixels
+    # than its GEMM has weight columns multiplies weights by windows
+    # (one-row chunks under the pixel ceiling, 9, 5 or fewer pixels, against
+    # 13 or 10 unpaired channels), and every case runs both orders
     n_in, n_out, h, w = 17, 13, 13, 9
     rng = np.random.default_rng(10 * k + stride + bases)
     x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
@@ -280,20 +306,44 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, gemms, k, stride, bases):
     oh, ow = want.shape[1:]
     assert oh % 2 and n_out % 2 and k % 2
     weights_first = set()
-    for name, ((buf, wcap, ceiling), (rows, tu, tv, m)) in blockings(
-            ow, k, n_in, n_out).items():
-        monkeypatch.setattr(functional, "_BUFFER_CAP", buf)
-        monkeypatch.setattr(functional, "_WEIGHT_CAP", wcap)
-        monkeypatch.setattr(functional, "_MAX_PIXELS", ceiling)
-        gemms.clear()
-        assert np.array_equal(xnor_conv(x, wts, k, stride, "same1").values, want), name
-        sizes = [(r * ow, u * v * n_in, gemm_columns(bases * tu * tv * n_in, mm))
-                 for mm in block_sizes(n_out, m)
-                 for u in block_sizes(k, tu) for v in block_sizes(k, tv)
-                 for r in block_sizes(oh, rows or oh)]
-        assert sorted(gemms) == sorted(gemm(*size) for size in sizes), name
-        weights_first |= {pixels < columns for pixels, _, columns in sizes}
+    for lo, hi in [(0, ow), (1, ow - 1)]:
+        for name, ((buf, wcap, ceiling), (rows, g, m)) in blockings(
+                hi - lo, k, stride, n_in, n_out, bases).items():
+            monkeypatch.setattr(functional, "_BUFFER_CAP", buf)
+            monkeypatch.setattr(functional, "_WEIGHT_CAP", wcap)
+            monkeypatch.setattr(functional, "_MAX_PIXELS", ceiling)
+            gemms.clear()
+            got = xnor_conv(x, wts, k, stride, "same1", (lo, hi)).values
+            assert np.array_equal(got, want[:, :, lo:hi]), (name, lo, hi)
+            sizes = conv_gemms(oh, hi - lo, k, n_in, bases, rows or oh, g, 1, m, n_out)
+            assert sorted(gemms) == sorted(gemm(*size) for size in sizes), (name, lo, hi)
+            weights_first |= {pixels < columns for pixels, _, columns in sizes}
     assert weights_first == {False, True}  # both orders ran
+
+
+@pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (5, 2), (7, 1), (7, 2)])
+def test_conv_few_tap_rows_copy_whole_groups(monkeypatch, gemms, k, stride):
+    # 3 input channels give kernel rows of 3k taps, under twice the 20 GEMM
+    # columns: each window holds a whole group of kernel rows (im2col), and
+    # a group runs one GEMM a chunk.  A weight cap of 2 kernel rows (3 at
+    # k = 7) gives groups of 2 + 1, 2 + 2 + 1 and 3 + 3 + 1 rows: at stride
+    # 2 and k = 7 the groups start on input rows of both phases
+    n_in, n_out, h, w, bases = 3, 20, 13, 9, 1
+    rng = np.random.default_rng(100 + 10 * k + stride)
+    x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
+    wts = w1.reshape(bases, n_out, k, k, -1)
+    want = sum(per_bit_conv(x, wts[b], k, stride, "same0") for b in range(bases))
+    oh, ow = want.shape[1:]
+    g = 3 if k == 7 else 2
+    assert 3 * k < 2 * n_out and bases * k * k * n_in < 256  # unpaired
+    monkeypatch.setattr(functional, "_WEIGHT_CAP", n_out * g * k * n_in)
+    monkeypatch.setattr(functional, "_MAX_PIXELS", 2 * ow)
+    for lo, hi in [(0, ow), (1, ow)]:
+        gemms.clear()
+        assert np.array_equal(xnor_conv(x, wts, k, stride, "same0", (lo, hi)).values,
+                              want[:, :, lo:hi]), (lo, hi)
+        sizes = conv_gemms(oh, hi - lo, k, n_in, bases, 2, g, g, n_out, n_out)
+        assert sorted(gemms) == sorted(gemm(*size) for size in sizes), (lo, hi)
 
 
 @pytest.mark.parametrize("bases, n_in, stride, padding, cols, data", [
@@ -306,19 +356,20 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, gemms, k, stride, bases):
 ])
 def test_conv_pairs_channels_up_to_2047_taps(monkeypatch, gemms, bases, n_in, stride, padding,
                                              cols, data):
-    # Caps that split a 3 x 3 kernel into single-tap blocks of T = bases x
-    # n_in taps, 7 channels into blocks of 5 and 2, and the output rows into
-    # chunks of 2: two channels share a GEMM column (3 and 1 columns) where
-    # T <= 2047, and the decoded halves d + T of each column span [0, 2T] on
-    # the "extreme" maps, whose windows all agree with one channel of a pair
-    # and all disagree with the other.  At the shipped caps the same
-    # operands run the one-GEMM path, unpaired.
-    k, n_out, h, w = 3, 7, 5, 5
+    # Caps that split a 1 x 1 conv of T = bases x n_in taps (its one kernel
+    # row is its one group) into blocks of 4 and 3 channels where its
+    # channels pair (2 GEMM columns each) and 2, 2, 2 and 1 where they do not,
+    # and its output rows into chunks of 2: two channels share a GEMM column
+    # where T <= 2047, and the decoded halves d + T of each column span
+    # [0, 2T] on the "extreme" maps, whose windows all agree with one channel
+    # of a pair and all disagree with the other.  At the shipped caps the
+    # same operands run the one-GEMM path, unpaired.
+    k, n_out, h, w = 1, 7, 5, 5
     g = n_groups(n_in)
     rng = np.random.default_rng(bases * n_in + stride)
     if data == "extreme":
         x = BinaryTensor(n_in, h, w, np.full((g, h, w), 0xFFFF, dtype=np.uint16))
-        agree = np.array([1, 0, 1, 0, 1, 0, 0], dtype=bool)  # pairs (0, 3), (1, 4), (5, 6)
+        agree = np.array([1, 1, 0, 0, 1, 0, 0], dtype=bool)  # pairs (0, 2), (1, 3), (4, 6)
         wts = np.where(agree[None, :, None, None, None], 0xFFFF, 0).astype(np.uint16)
         wts = np.broadcast_to(wts, (bases, n_out, k, k, g))
     else:
@@ -336,13 +387,13 @@ def test_conv_pairs_channels_up_to_2047_taps(monkeypatch, gemms, bases, n_in, st
     assert gemms == [gemm(oh * ow, k * k * n_in, n_out)]  # one GEMM at the shipped caps
 
     monkeypatch.setattr(functional, "_BUFFER_CAP", 1 << 30)
-    monkeypatch.setattr(functional, "_WEIGHT_CAP", 5 * n_in)
+    monkeypatch.setattr(functional, "_WEIGHT_CAP", 2 * n_in)
     monkeypatch.setattr(functional, "_MAX_PIXELS", 2 * ow)
     gemms.clear()
     assert np.array_equal(xnor_conv(x, wts, k, stride, padding, cols).values, want)
-    columns = [3, 1] if bases * n_in <= 2047 else [5, 2]
+    columns = [2, 2] if bases * n_in <= 2047 else [2, 2, 2, 1]
     assert sorted(gemms) == sorted(gemm(r * ow, n_in, c) for c in columns
-                                   for _ in range(k * k) for r in block_sizes(oh, 2))
+                                   for r in block_sizes(oh, 2))
 
 
 @pytest.mark.parametrize("bases", [1, 3])
@@ -384,8 +435,9 @@ def test_conv_n_out_not_multiple_of_16(n_out):
 
 def test_conv_wide_layer_runs_short_channel_block():
     # at the shipped caps, 600 output channels of 1024 taps overflow the
-    # weight buffer, which holds 512 of them: blocks of 512 and 88 channels,
-    # each against a chunk of 2 pixels, so both GEMMs take the weights first
+    # one-GEMM weight buffer, which holds 512 of them; a group of 1024 taps
+    # pairs its channels, so the blocked kernel holds all 600 in 300 GEMM
+    # columns, against a chunk of 2 pixels: the GEMM takes the weights first
     assert 600 * 1024 > functional._WEIGHT_CAP == 512 * 1024
     rng = np.random.default_rng(600)
     x, w = random_operands(rng, 1024, 1, 2, 600, 1)
@@ -394,9 +446,9 @@ def test_conv_wide_layer_runs_short_channel_block():
 
 def test_conv_split_taps_stay_exact_at_the_float32_bound():
     # 85 bases of 3 x 3 x 21845 taps: 16,711,425, just under 2**24.  The one
-    # output pixel splits the weights into kernel rows 2 + 1, and the tap
-    # count plus the first block's dot is odd and past 2**24, where float32
-    # rounds it; the map matches the weights but for one first-row bit
+    # output pixel runs one GEMM, and the tap count plus its dot is odd and
+    # past 2**24, where float32 would round it; the map matches the weights
+    # but for one first-row bit
     n_in, bases = 21845, 85
     rng = np.random.default_rng(85)
     w = rng.integers(0, 1 << 16, size=(1, 3, 3, n_groups(n_in)), dtype=np.uint16)
@@ -407,6 +459,23 @@ def test_conv_split_taps_stay_exact_at_the_float32_bound():
     assert (1 << 24) - 9 * n_in < bases * 9 * n_in < 1 << 24
     assert got[0, 0, 0] == bases * (9 * n_in - 1)
     assert np.array_equal(got, bases * per_bit_conv(x, w, 3, 1, "none"))
+
+
+def test_conv_row_windows_stay_exact_at_the_float32_bound(monkeypatch, gemms):
+    # the operands above through the row windows: with a window buffer too
+    # small for the one GEMM, each kernel row of 3 x 21845 taps runs its own
+    # GEMM, and their float32 partial dots of 85 bases add up to 16,711,255
+    # before they add, with the taps, to the int32 sums
+    n_in, bases = 21845, 85
+    rng = np.random.default_rng(85)
+    w = rng.integers(0, 1 << 16, size=(1, 3, 3, n_groups(n_in)), dtype=np.uint16)
+    words = w[0].transpose(2, 0, 1).copy()
+    words[0, 0, 0] ^= 1
+    x = BinaryTensor(n_in, 3, 3, words)
+    monkeypatch.setattr(functional, "_BUFFER_CAP", 1 << 17)
+    got = xnor_conv(x, np.stack([w] * bases), 3, padding="none").values
+    assert gemms == [gemm(1, 3 * n_in, 1)] * 3
+    assert got[0, 0, 0] == bases * (9 * n_in - 1)
 
 
 def test_conv_three_bases_equal_sum_of_single_bases():
