@@ -12,8 +12,8 @@ The package splits into:
   hierarchy, operating point, calibration) and memory-fit validation.
 * :mod:`bnnsim.scheduler` -- loop-nest planning, memory placement, and
   spatial column tiling.
-* :mod:`bnnsim.simulator` -- bit-true execution of a plan, and its exact
-  counters from the plan alone (``cost``).
+* :mod:`bnnsim.simulator` -- bit-true execution of a plan, its exact
+  counters from the plan alone (``cost``), and ``check`` against both references.
 * :mod:`bnnsim.power` -- the calibrated activity-based power/energy model.
 * :mod:`bnnsim.cli` -- the ``bnnsim`` command-line tool.
 """
@@ -60,7 +60,7 @@ from .network import LayerConfig, NetworkDesc
 from .oracle import run_bipolar_reference
 from .power import CalibrationTable, PowerReport, core_power, efficiency, full_report, ideal_point
 from .scheduler import Schedule, plan_network
-from .simulator import Stats, UtilizationReport, cost, execute, run, utilization, verify_against_oracle
+from .simulator import Stats, UtilizationReport, check, cost, execute, run, utilization
 from .tensors import BinaryTensor, IntTensor, binarize_pack
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ and seven row staging banks behind a crossbar.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,16 +68,16 @@ class ArchConfig:
         self.check()
 
     def check(self) -> None:
-        """Reject zero or negative geometry and operating values.
+        """Reject zero, negative or non-finite geometry and operating values.
 
         Runs on construction, so on every parsed config file, and again
         before planning, since fields may be changed after construction."""
         m = self.memory
         values = {**vars(self.compute), **vars(m), **vars(self.op_point)}
         bad = [f"{name} = {v}" for name, v in values.items()
-               if isinstance(v, (int, float)) and not v > 0]
+               if isinstance(v, (int, float)) and not 0 < v < math.inf]
         if bad:
-            raise ShapeError("arch values must be positive: " + ", ".join(bad))
+            raise ShapeError("arch values must be positive and finite: " + ", ".join(bad))
         if m.fmm_bank_width_bits % 8:
             raise ShapeError(f"fmm_bank_width_bits = {m.fmm_bank_width_bits} "
                              f"is not a whole number of bytes")

@@ -25,7 +25,7 @@ from .arch import ArchConfig, builtin_arch, default_arch, load_arch
 from .errors import BnnSimError, FormatError
 from .power import core_power, efficiency, full_report, ideal_point
 from .simulator import run as run_network
-from .simulator import utilization, verify_against_oracle
+from .simulator import check, utilization
 
 ARCH_ENV = "BNNSIM_ARCH"
 
@@ -71,13 +71,14 @@ def cmd_verify(args) -> int:
         rng = np.random.default_rng(args.seed + trial)
         net = _resolve_net(args.net)
         weights, x = _prepare_stimulus(net, args, rng)
-        rep = verify_against_oracle(net, x, weights, arch)
+        rep = check(net, x, weights, arch)
         if rep.equal:
             print(f"trial {trial}: equal over {rep.layers_checked} layers")
-        else:
-            failures += 1
-            layer, c, y, xx = rep.first_divergence
-            print(f"trial {trial}: DIVERGENCE at {layer} channel {c} pixel ({y},{xx})")
+        failures += not rep.equal
+        for what, at in rep.first_divergence.items():
+            if at:
+                layer, c, y, xx = at
+                print(f"trial {trial}: DIVERGENCE of {what} at {layer} channel {c} pixel ({y},{xx})")
     if failures:
         print(f"{failures}/{args.trials} trials diverged")
         return 1
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="randomized equivalence against the functional oracle")
+    v = sub.add_parser("verify", help="bit identity with the golden model and the bipolar oracle")
     v.add_argument("net")
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--trials", type=int, default=1)

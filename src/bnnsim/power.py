@@ -13,6 +13,7 @@ everything between them is linear interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import BnnSimError
@@ -37,6 +38,13 @@ class CalibrationTable:
     io_pj_per_bit: float = 21.0
 
     def check(self) -> "CalibrationTable":
+        values = {key: v.values() if isinstance(v, dict) else [v] for key, v in vars(self).items()}
+        bad = [key for key, vs in values.items() if not all(-math.inf < v < math.inf for v in vs)]
+        if bad:
+            raise BnnSimError("calibration values must be finite: " + ", ".join(bad))
+        if sorted(self.breakdown) != sorted(COMPONENTS):
+            raise BnnSimError(f"breakdown names {', '.join(self.breakdown)}, "
+                              f"not the components {', '.join(COMPONENTS)}")
         total = sum(self.breakdown.values())
         if abs(total - 1.0) > 1e-9:
             raise BnnSimError(f"breakdown fractions sum to {total}, not 1.0")
@@ -164,12 +172,6 @@ def _tops_per_watt(ops: int, t: float, core_mw: float) -> float:
     if t == 0 or core_mw == 0:
         return 0.0
     return ops / t / (core_mw * 1e-3) / 1e12
-
-
-def energy_per_inference(stats: Stats, core_mw: float, calib: CalibrationTable,
-                         f_clk: float) -> tuple[float, float, float]:
-    """(core uJ, io uJ, total uJ) for one processed frame."""
-    return _energy_uj(core_mw, stats.time_s(f_clk), stats.io_bits, calib)
 
 
 def _energy_uj(core_mw: float, t: float, io_bits: int,

@@ -15,7 +15,7 @@ or input.
 
 Outputs come from the golden model's own layer step,
 `functional.layer_forward`, run over each spatial tile's range of conv
-output columns; tests check them against the golden model and the
+output columns; `check` compares them with the golden model and the
 independent bipolar oracle.  The host computes each conv column once: a
 tile runs only the columns no earlier tile of its layer ran, since its
 halo columns would come out the same.  The model still charges every
@@ -31,8 +31,9 @@ import numpy as np
 
 from .arch import ArchConfig
 from .errors import FitError, ShapeError
-from .functional import layer_forward
+from .functional import layer_forward, run_network_reference
 from .network import NetworkDesc
+from .oracle import run_bipolar_reference
 from .scheduler import INPUT_MAP, PIPE_FILL, LayerPlan, NetworkPlan, plan_network
 from .stats import LayerStats, Stats
 from .tensors import LANES, BinaryTensor, IntTensor, n_groups
@@ -49,10 +50,14 @@ class UtilizationReport:
 
 
 @dataclass
-class VerifyReport:
-    equal: bool
-    first_divergence: tuple | None   # (layer, channel, y, x)
+class CheckReport:
+    stats: Stats
     layers_checked: int
+    first_divergence: dict  # per comparison: None where equal, else (layer, channel, y, x)
+
+    @property
+    def equal(self) -> bool:
+        return not any(self.first_divergence.values())
 
 
 def _valid_taps(layer, win) -> tuple[int, int]:
@@ -242,21 +247,21 @@ def utilization(stats: Stats, arch: ArchConfig) -> UtilizationReport:
     return UtilizationReport(acc_k / w_ops, acc_f / w_ops)
 
 
-def verify_against_oracle(net: NetworkDesc, x: BinaryTensor, weights: dict,
-                          arch: ArchConfig) -> VerifyReport:
-    """Plan + execute, then compare every layer against the functional model."""
-    from .functional import run_network_reference
-
-    if not net.binary_layers():
-        return VerifyReport(True, None, 0)
-    plan = plan_network(net, arch)
-    outputs, _ = execute(plan, net, x, weights, arch)
+def check(net: NetworkDesc, x: BinaryTensor, weights: dict, arch: ArchConfig) -> CheckReport:
+    """Plan once, run the simulator, the golden model and the bipolar oracle
+    once each, and compare per layer the simulator's bits with both models'
+    and the golden sums with the oracle's (no packed-word code in common)."""
+    layers = net.binary_layers()
+    outputs, stats = (execute(plan_network(net, arch), net, x, weights) if layers
+                      else ({}, Stats(net=net.name)))  # nothing to plan: equal over 0 layers
     golden = run_network_reference(net, x, weights)
-    for l in net.binary_layers():
-        got = outputs[l.name].to_bits()
-        want = golden[l.name].bits.to_bits()
-        if not np.array_equal(got, want):
-            diff = np.argwhere(got != want)[0]
-            return VerifyReport(False, (l.name, int(diff[0]), int(diff[1]), int(diff[2])),
-                                len(net.binary_layers()))
-    return VerifyReport(True, None, len(net.binary_layers()))
+    oracle = run_bipolar_reference(net, x, weights)
+    first = dict.fromkeys(("simulator vs golden bits", "simulator vs oracle bits",
+                           "golden vs oracle sums"))
+    for l in layers:
+        sim, (sums, bits), ref = outputs[l.name].to_bits(), oracle[l.name], golden[l.name]
+        pairs = (sim, ref.bits.to_bits()), (sim, bits), (ref.sums.values, sums)
+        for what, (got, want) in zip(first, pairs):
+            if first[what] is None and not np.array_equal(got, want):
+                first[what] = (l.name, *map(int, np.argwhere(got != want)[0]))
+    return CheckReport(stats, len(layers), first)

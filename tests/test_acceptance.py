@@ -12,7 +12,7 @@ import numpy as np
 
 from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch
 from bnnsim.errors import FitError
-from bnnsim.functional import BatchNorm, derive_threshold, real_sign_bit, run_network_reference
+from bnnsim.functional import BatchNorm, derive_threshold, real_sign_bit
 from bnnsim.netio import (
     builtin_network,
     random_input,
@@ -20,10 +20,9 @@ from bnnsim.netio import (
     random_thresholds,
     random_weights,
 )
-from bnnsim.oracle import run_bipolar_reference
 from bnnsim.power import core_power, efficiency, full_report, ideal_point
 from bnnsim.scheduler import channel_tiles, plan_network
-from bnnsim.simulator import cost, run, utilization, verify_against_oracle
+from bnnsim.simulator import check, cost, utilization
 from bnnsim.network import LayerConfig, NetworkDesc
 
 F_CLK = 154e6
@@ -54,15 +53,10 @@ def test_criterion_1_oracle_equivalence():
         random_thresholds(net, rng)
         w = random_weights(net, rng)
         x = random_input(net, rng)
-        outputs, stats, plan = run(net, x, w, arch)
-        golden = run_network_reference(net, x, w)
-        brute = run_bipolar_reference(net, x, w)
+        rep = check(net, x, w, arch)
+        assert rep.equal, f"net {i}: {rep.first_divergence}"
+        checked += rep.layers_checked
         for l in net.binary_layers():
-            assert outputs[l.name].bit_equal(golden[l.name].bits), \
-                f"net {i} layer {l.name}: simulator != functional model"
-            assert np.array_equal(outputs[l.name].to_bits(), brute[l.name][1]), \
-                f"net {i} layer {l.name}: simulator != bipolar brute force"
-            checked += 1
             shapes["k"].add(l.k)
             shapes["pool"] += l.pool != "none"
             shapes["residual"] += l.residual is not None
@@ -212,7 +206,7 @@ def test_criterion_7_schedule_reuse_invariants():
 
 def test_criterion_8_tiling_transparency():
     """100 randomized oversized layer groups: stitched output bit-identical
-    to the untiled oracle."""
+    to the untiled golden model and the bipolar oracle."""
     tiny = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
     rng = np.random.default_rng(808)
     tiled_cases = 0
@@ -232,7 +226,7 @@ def test_criterion_8_tiling_transparency():
         if not any(len(s.plans) > 1 for s in plan.schedules):
             continue
         tiled_cases += 1
-        rep = verify_against_oracle(net, x, w, tiny)
-        assert rep.equal, f"case {tiled_cases}: diverged at {rep.first_divergence}"
-    report(8, True, f"{tiled_cases} tiled cases bit-identical to the untiled "
-                    f"oracle ({attempts} candidates drawn)")
+        rep = check(net, x, w, tiny)
+        assert rep.equal, f"case {tiled_cases}: {rep.first_divergence}"
+    report(8, True, f"{tiled_cases} tiled cases bit-identical to the golden model "
+                    f"and the bipolar oracle ({attempts} candidates drawn)")

@@ -108,6 +108,10 @@ def _one_error_line(capsys) -> str:
     ("memory", "fmm_bank_words", "0"),
     ("memory", "fmm_src_banks", "-4"),
     ("compute", "n_bpu", "0"),
+    ("operating", "f_clk", "inf"),
+    ("calibration", "io_pj_per_bit", "1e400"),
+    pytest.param("calibration", "breakdown", "1000 memory:0.561, interconnect:0.157, "
+                 "compute:0.176, control:0.027, other:0.079", id="calibration-breakdown-misnamed"),
 ])
 def test_run_rejects_bad_arch_value(tmp_path, capsys, section, key, value):
     cfg = tmp_path / "bad.arch"

@@ -433,15 +433,16 @@ def test_conv_n_out_not_multiple_of_16(n_out):
     assert np.array_equal(xnor_conv(x, w, 3).values, per_bit_conv(x, w, 3, 1, "same0"))
 
 
-def test_conv_wide_layer_runs_short_channel_block():
-    # at the shipped caps, 600 output channels of 1024 taps overflow the
-    # one-GEMM weight buffer, which holds 512 of them; a group of 1024 taps
-    # pairs its channels, so the blocked kernel holds all 600 in 300 GEMM
-    # columns, against a chunk of 2 pixels: the GEMM takes the weights first
-    assert 600 * 1024 > functional._WEIGHT_CAP == 512 * 1024
+def test_conv_wide_layer_runs_short_channel_block(gemms):
+    # at the shipped caps, 600 output channels of 2064 taps overflow the
+    # one-GEMM weight buffer, which holds 254 of them; a group of 2064 taps,
+    # past 2047, does not pair, so the blocked kernel runs blocks of 254, 254
+    # and 92 channels against a chunk of 2 pixels: the GEMMs take the weights first
+    assert functional._WEIGHT_CAP // 2064 == 254 and 2064 > functional._PAIR_TAPS[-1]
     rng = np.random.default_rng(600)
-    x, w = random_operands(rng, 1024, 1, 2, 600, 1)
+    x, w = random_operands(rng, 2064, 1, 2, 600, 1)
     assert np.array_equal(xnor_conv(x, w, 1).values, per_bit_conv(x, w, 1, 1, "same0"))
+    assert gemms == [((m, 2064), (2064, 2)) for m in (254, 254, 92)]
 
 
 def test_conv_split_taps_stay_exact_at_the_float32_bound():

@@ -4,6 +4,7 @@ implementations agreeing bit-for-bit."""
 import numpy as np
 import pytest
 
+from bnnsim.arch import default_arch
 from bnnsim.errors import FormatError, ShapeError
 from bnnsim.functional import run_network_reference
 from bnnsim.netio import (
@@ -21,7 +22,7 @@ from bnnsim.netio import (
     save_weights,
 )
 from bnnsim.network import LayerConfig, NetworkDesc
-from bnnsim.oracle import run_bipolar_reference
+from bnnsim.simulator import check
 
 from helpers import constant_thresholds
 
@@ -192,17 +193,6 @@ def test_tensor_blob_roundtrip(tmp_path):
 # reference model vs independent bipolar brute force
 # ---------------------------------------------------------------------------
 
-def run_both(net, x, weights):
-    golden = run_network_reference(net, x, weights)
-    brute = run_bipolar_reference(net, x, weights)
-    for l in net.binary_layers():
-        g = golden[l.name]
-        s_b, bits_b = brute[l.name]
-        assert np.array_equal(g.sums.values, s_b), f"sums diverge at {l.name}"
-        assert np.array_equal(g.bits.to_bits(), bits_b), f"bits diverge at {l.name}"
-    return golden
-
-
 def test_identity_single_layer():
     # one input channel, +1 weight, T=1: a single xnor passes the bit through
     net = NetworkDesc("t", 1, 3, 3, [LayerConfig(name="a", k=1, n_out=1)]).validate()
@@ -239,7 +229,8 @@ def test_residual_identities():
     random_thresholds(net, rng)
     weights = random_weights(net, rng)
     x = random_input(net, rng)
-    run_both(net, x, weights)
+    rep = check(net, x, weights, default_arch())
+    assert rep.equal, rep.first_divergence
 
 
 def test_random_nets_match_bruteforce():
@@ -249,7 +240,8 @@ def test_random_nets_match_bruteforce():
         random_thresholds(net, rng)
         weights = random_weights(net, rng)
         x = random_input(net, rng)
-        run_both(net, x, weights)
+        rep = check(net, x, weights, default_arch())
+        assert rep.equal, rep.first_divergence
 
 
 def test_reference_deterministic():

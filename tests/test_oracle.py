@@ -1,8 +1,10 @@
 """The bipolar oracle's own pieces: its im2col correlation against a
-per-pixel window sum written here, its bounds and parity checks, and the
-traced memory of one oracle frame.
+per-pixel window sum written here, its bounds and parity checks, the
+traced memory of one oracle frame, and its independence from the code it
+checks.
 """
 
+import ast
 import tracemalloc
 
 import numpy as np
@@ -114,3 +116,21 @@ def test_oracle_traced_memory_budget(name, budget_mb):
     finally:
         tracemalloc.stop()
     assert peak <= budget_mb * 1e6
+
+
+def test_oracle_imports_nothing_it_checks():
+    # `simulator.check` holds the simulator and the golden model to the
+    # oracle because it shares no packed-word code with them: from the
+    # package's tensors it may take only the lane width and the tensor type
+    paths = set()  # package imports as "module" or "module.name", without "bnnsim."
+    for node in ast.walk(ast.parse(open(oracle.__file__).read())):
+        if isinstance(node, ast.Import):
+            paths |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("bnnsim")):
+            module = (node.module or "").removeprefix("bnnsim").strip(".")
+            paths |= {f"{module}.{a.name}".strip(".") for a in node.names}
+    paths = {p.removeprefix("bnnsim.") for p in paths}
+    assert {"tensors.LANES", "tensors.BinaryTensor"} <= paths
+    shared = {p for p in paths if p.split(".")[0] in ("functional", "simulator", "scheduler")
+              or p.startswith("tensors") and p not in ("tensors.LANES", "tensors.BinaryTensor")}
+    assert not shared, shared

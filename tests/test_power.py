@@ -9,7 +9,6 @@ from bnnsim.power import (
     CalibrationTable,
     core_power,
     efficiency,
-    energy_per_inference,
     full_report,
     ideal_point,
     reference_mem_rate,
@@ -146,11 +145,9 @@ def test_io_energy_zero_and_megabit():
     arch = default_arch()
     ls = LayerStats(name="x", k=3, cycles_compute=1000)
     st = Stats(layers=[ls])
-    core, io, total = energy_per_inference(st, 1.0, arch.calib, F_CLK)
-    assert io == 0.0
+    assert full_report(arch, st).io_uj == 0.0
     ls.io_bits = 1_000_000
-    core, io, total = energy_per_inference(st, 1.0, arch.calib, F_CLK)
-    assert io == pytest.approx(21.0)  # 1 Mbit at 21 pJ/bit = 21 uJ
+    assert full_report(arch, st).io_uj == pytest.approx(21.0)  # 1 Mbit at 21 pJ/bit = 21 uJ
 
 
 def test_interpolated_kernel_flagged():

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bnnsim import simulator
+from bnnsim import functional, simulator
 from bnnsim.arch import ArchConfig, MemoryGeometry, default_arch
+from bnnsim.cli import main
 from bnnsim.errors import AccumulatorOverflow, FitError
-from bnnsim.functional import ThresholdVector, run_network_reference
+from bnnsim.functional import run_network_reference
 from bnnsim.netio import (
     builtin_network,
     random_input,
@@ -18,9 +19,8 @@ from bnnsim.netio import (
     random_weights,
 )
 from bnnsim.network import LayerConfig, NetworkDesc
-from bnnsim.oracle import run_bipolar_reference
 from bnnsim.scheduler import plan_network
-from bnnsim.simulator import _valid_taps, cost, execute, run, utilization, verify_against_oracle
+from bnnsim.simulator import _valid_taps, check, cost, execute, run, utilization
 from bnnsim.stats import Stats
 from bnnsim.tensors import BinaryTensor, n_groups
 
@@ -278,12 +278,8 @@ def test_verify_random_nets():
         random_thresholds(net, rng)
         w = random_weights(net, rng)
         x = random_input(net, rng)
-        rep = verify_against_oracle(net, x, w, arch)
+        rep = check(net, x, w, arch)
         assert rep.equal, rep.first_divergence
-        brute = run_bipolar_reference(net, x, w)
-        outputs, _, _ = run(net, x, w, arch)
-        for l in net.binary_layers():
-            assert np.array_equal(outputs[l.name].to_bits(), brute[l.name][1])
 
 
 def test_verify_pool_and_residual():
@@ -296,28 +292,64 @@ def test_verify_pool_and_residual():
     ], 16, 8, 8, rng)
     w = random_weights(net, rng)
     x = random_input(net, rng)
-    rep = verify_against_oracle(net, x, w, default_arch())
-    assert rep.equal
+    rep = check(net, x, w, default_arch())
+    assert rep.equal and rep.layers_checked == 4, rep.first_divergence
 
 
 def test_verify_empty_network():
     net = NetworkDesc("e", 3, 4, 4, [LayerConfig(name="x", k=3, n_out=8, external=True)])
     net.validate()
-    rep = verify_against_oracle(net, BinaryTensor(3, 4, 4), {}, default_arch())
+    rep = check(net, BinaryTensor(3, 4, 4), {}, default_arch())
     assert rep.equal and rep.layers_checked == 0
 
 
-def test_verify_reports_divergence():
-    # corrupt thresholds between planning and the golden model to force a miss
+def test_verify_reports_divergence(monkeypatch):
+    # flip one output bit of the simulator's layer step: both bit comparisons
+    # name it, while the golden model and the oracle still agree
     rng = np.random.default_rng(64)
     net = make_net([LayerConfig(name="a", k=1, n_out=16)], 16, 2, 2, rng)
     w = random_weights(net, rng)
     x = random_input(net, rng)
-    outputs, _, _ = run(net, x, w, default_arch())
-    net.layers[0].thresholds = ThresholdVector(
-        net.layers[0].thresholds.t + 3, net.layers[0].thresholds.flip)
-    golden = run_network_reference(net, x, w)
-    assert not outputs["a"].bit_equal(golden["a"].bits)
+    step = simulator.layer_forward
+
+    def flip_one_bit(*args):
+        res = step(*args)
+        res.bits.words[0, 1, 0] ^= 1 << 5  # channel 5, pixel (1, 0)
+        return res
+
+    monkeypatch.setattr(simulator, "layer_forward", flip_one_bit)
+    rep = check(net, x, w, default_arch())
+    assert not rep.equal
+    assert rep.first_divergence == {"simulator vs golden bits": ("a", 5, 1, 0),
+                                    "simulator vs oracle bits": ("a", 5, 1, 0),
+                                    "golden vs oracle sums": None}
+
+
+@pytest.mark.parametrize("mutant", ["sums-off-by-one", "wrong-pad-value"])
+def test_check_catches_shared_kernel_mutant(monkeypatch, capsys, mutant):
+    # the simulator and the golden model share the mutated kernel and still
+    # agree with each other; only the oracle, which shares no packed-word
+    # code with them, shows the fault, in `check` and in `bnnsim verify`
+    conv = functional.xnor_conv
+
+    def sums_off_by_one(*args):
+        sums = conv(*args)
+        sums.values += 1
+        return sums
+
+    def wrong_pad_value(x, w, k, stride, padding, cols):
+        return conv(x, w, k, stride, {"same0": "same1", "same1": "same0"}[padding], cols)
+
+    monkeypatch.setattr(functional, "xnor_conv", {"sums-off-by-one": sums_off_by_one,
+                                                  "wrong-pad-value": wrong_pad_value}[mutant])
+    rng = np.random.default_rng(67)
+    net = make_net([LayerConfig(name="a", k=3, n_out=32),
+                    LayerConfig(name="b", k=3, n_out=16, pool="max")], 16, 8, 8, rng)
+    rep = check(net, random_input(net, rng), random_weights(net, rng), default_arch())
+    assert rep.first_divergence["simulator vs golden bits"] is None
+    assert rep.first_divergence["simulator vs oracle bits"] is not None
+    assert main(["verify", "vgg_like_cifar10", "--seed", "3"]) == 1
+    assert "DIVERGENCE of simulator vs oracle bits at" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +373,7 @@ def test_tiled_execution_bit_identical():
             continue
         if any(len(s.plans) > 1 for s in plan.schedules):
             hits += 1
-        rep = verify_against_oracle(net, x, w, tiny)
+        rep = check(net, x, w, tiny)
         assert rep.equal, rep.first_divergence
     assert hits >= 5  # the tiny memory must actually force tiling
 
@@ -412,8 +444,5 @@ def test_multibase_layer_equivalence():
     net = make_net([LayerConfig(name="a", k=3, n_out=16, bases=3)], 16, 6, 6, rng)
     w = random_weights(net, rng)
     x = random_input(net, rng)
-    rep = verify_against_oracle(net, x, w, default_arch())
-    assert rep.equal
-    brute = run_bipolar_reference(net, x, w)
-    outputs, _, _ = run(net, x, w, default_arch())
-    assert np.array_equal(outputs["a"].to_bits(), brute["a"][1])
+    rep = check(net, x, w, default_arch())
+    assert rep.equal, rep.first_divergence

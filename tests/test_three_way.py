@@ -11,9 +11,8 @@ from bnnsim.errors import ShapeError
 from bnnsim.functional import ThresholdVector, run_network_reference
 from bnnsim.netio import builtin_network, random_input, random_thresholds, random_weights
 from bnnsim.network import LayerConfig, NetworkDesc
-from bnnsim.oracle import run_bipolar_reference
 from bnnsim.scheduler import plan_network
-from bnnsim.simulator import execute
+from bnnsim.simulator import check, execute
 from bnnsim.tensors import BinaryTensor
 
 from helpers import constant_thresholds
@@ -22,25 +21,16 @@ TINY = ArchConfig(memory=MemoryGeometry(fmm_src_banks=1, fmm_snk_banks=1))
 
 
 def three_way(net, arch, x=None, weights=None, seed=0):
-    """Run all three models; every layer's bits and both reference sums must
-    agree.  Returns (plan, golden results)."""
+    """`check` the net on seeded stimulus: every layer's bits and both
+    reference sums must agree.  Returns its report."""
     rng = np.random.default_rng(seed)
     if any(l.thresholds is None for l in net.binary_layers()):
         random_thresholds(net, rng)
     weights = weights if weights is not None else random_weights(net, rng)
     x = x if x is not None else random_input(net, rng)
-    plan = plan_network(net, arch)
-    outputs, _ = execute(plan, net, x, weights, arch)
-    golden = run_network_reference(net, x, weights)
-    brute = run_bipolar_reference(net, x, weights)
-    for l in net.binary_layers():
-        assert np.array_equal(golden[l.name].sums.values, brute[l.name][0]), \
-            f"layer {l.name}: golden sums != oracle sums"
-        assert outputs[l.name].bit_equal(golden[l.name].bits), \
-            f"layer {l.name}: simulator != golden model"
-        assert np.array_equal(outputs[l.name].to_bits(), brute[l.name][1]), \
-            f"layer {l.name}: simulator != oracle"
-    return plan, golden
+    rep = check(net, x, weights, arch)
+    assert rep.equal, rep.first_divergence
+    return rep
 
 
 def net_of(c, h, w, *layers, **kw):
@@ -122,8 +112,8 @@ def test_feature_three_way(make):
     *[pytest.param(reroute, w, id=f"reroute-{w}") for w in (28, 32)],
 ])
 def test_feature_three_way_tiled(make, w):
-    plan, _ = three_way(make(8, w), TINY, seed=1)
-    assert any(len(s.plans) > 1 for s in plan.schedules), "tiny memory did not tile"
+    rep = three_way(make(8, w), TINY, seed=1)
+    assert any(l.tile > 0 for l in rep.stats.layers), "tiny memory did not tile"
 
 
 def test_saturate_clips_conv_sum_before_residual():
@@ -138,7 +128,8 @@ def test_saturate_clips_conv_sum_before_residual():
         acc_bits=8, acc_mode="saturate",
     )
     zeros = {l.name: np.zeros((1, 64, 3, 3, 4), dtype=np.uint16) for l in net.layers}
-    _, golden = three_way(net, default_arch(), x=BinaryTensor(64, 4, 4), weights=zeros)
+    three_way(net, default_arch(), x=BinaryTensor(64, 4, 4), weights=zeros)
+    golden = run_network_reference(net, BinaryTensor(64, 4, 4), zeros)
     assert np.all(golden["b"].sums.values == 126)
     assert not golden["b"].bits.to_bits().any()
 
@@ -152,8 +143,8 @@ def test_resnet18_frame_three_way_tiled():
     # at s1b1c1, which fits on its own, and ends once stage 2 has halved
     # the map
     arch = ArchConfig(memory=MemoryGeometry(fmm_src_banks=38, fmm_snk_banks=38))
-    plan, _ = three_way(builtin_network("resnet18_ilsvrc"), arch, seed=38)
-    tiled = [s.layer.name for s in plan.schedules if len(s.plans) > 1]
+    rep = three_way(builtin_network("resnet18_ilsvrc"), arch, seed=38)
+    tiled = [l.name for l in rep.stats.layers if l.tile == 1]
     assert (tiled[0], tiled[-1], len(tiled)) == ("s1b1c1", "s2b1c2", 7)
 
 
