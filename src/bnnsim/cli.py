@@ -108,6 +108,7 @@ def cmd_run(args) -> int:
         f"fits_untiled = {plan.fit.fits_untiled}",
     ]
     text = "\n".join(header) + "\n" + util.to_text() + power.to_text() + stats.to_text()
+    _summary_row(_scan_kv(text), f"run report of {net.name}")  # what `report` would refuse
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")
@@ -153,11 +154,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _scan_kv(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as e:
-        raise FormatError(f"not a text run report ({e.reason})", path) from e
+def _scan_kv(text: str) -> dict:
     vals = {}
     for line in text.splitlines():
         if line.startswith("[layers]"):
@@ -168,37 +165,46 @@ def _scan_kv(path: str) -> dict:
     return vals
 
 
+def _summary_row(kv: dict, path: str) -> str:
+    """The `report` CSV row of a run report's scanned keys; a FormatError
+    names the first number it reads that is missing or not finite."""
+
+    def num(key: str) -> float:
+        if key not in kv:
+            raise FormatError(f"no {key} line", path)
+        try:
+            if np.isfinite(value := float(kv[key])):
+                return value
+        except ValueError:
+            pass
+        raise FormatError(f"{key} = {kv[key]!r} is not a finite number", path)
+
+    return ",".join([
+        kv.get("net", Path(path).stem),
+        f"{num('graph_mop'):.1f}",
+        f"{100 * num('util_kernel_limited'):.1f}",
+        f"{num('gops'):.1f}",
+        f"{num('core_mw'):.3f}",
+        f"{num('io_mw'):.3f}",
+        f"{num('total_mw'):.3f}",
+        f"{num('core_uj'):.1f}",
+        f"{num('io_uj'):.1f}",
+        f"{num('energy_uj_per_inference'):.1f}",
+        f"{num('tops_per_watt'):.2f}",
+        f"{num('fps'):.1f}",
+    ])
+
+
 def cmd_report(args) -> int:
     cols = ["network", "net_mop", "util_pct", "gops", "core_mw", "io_mw",
             "total_mw", "core_uj", "io_uj", "total_uj", "core_tops_w", "fps"]
     lines = [",".join(cols)]
     for path in args.runfiles:
-        kv = _scan_kv(path)
-
-        def num(key: str) -> float:
-            if key not in kv:
-                raise FormatError(f"no {key} line", path)
-            try:
-                if np.isfinite(value := float(kv[key])):
-                    return value
-            except ValueError:
-                pass
-            raise FormatError(f"{key} = {kv[key]!r} is not a finite number", path)
-
-        lines.append(",".join([
-            kv.get("net", Path(path).stem),
-            f"{num('graph_mop'):.1f}",
-            f"{100 * num('util_kernel_limited'):.1f}",
-            f"{num('gops'):.1f}",
-            f"{num('core_mw'):.3f}",
-            f"{num('io_mw'):.3f}",
-            f"{num('total_mw'):.3f}",
-            f"{num('core_uj'):.1f}",
-            f"{num('io_uj'):.1f}",
-            f"{num('energy_uj_per_inference'):.1f}",
-            f"{num('tops_per_watt'):.2f}",
-            f"{num('fps'):.1f}",
-        ]))
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"not a text run report ({e.reason})", path) from e
+        lines.append(_summary_row(_scan_kv(text), path))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -22,7 +22,7 @@ class FitError(BnnSimError):
 
 
 class FormatError(BnnSimError):
-    """A network, weight, or config file, or a command-line value, failed to parse."""
+    """A network, weight, config file or run report, or a command-line value, failed to parse."""
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         loc = ""

@@ -11,9 +11,8 @@ The conv kernel runs one GEMM per call where the layer's weights fit one
 block and its output rows one chunk, as on small maps.  Larger layers copy
 each input row's windows once per row chunk (row windows) and run one GEMM
 per kernel row, each reading a view of that copy, over groups of kernel
-rows and blocks of output channels; where a kernel row has few taps
-against many channels a window holds a whole group of kernel rows
-instead.  A group of T = 256 to 2047 taps pairs its output channels: one
+rows and blocks of output channels.  A group of T = 256 to 2047 taps
+pairs its output channels: one
 float32 GEMM column carries the +/-1 dots of channels j and j + ceil(m/2)
 as d_j + 4096*d_{j+h}, exact since 4097T < 2**24, and one integer decode
 a group splits them again, so such a group runs half the GEMM columns for
@@ -244,28 +243,26 @@ def xnor_conv(
     weights split into groups of g kernel rows, then blocks of m output
     channels, whose GEMM columns fit _WEIGHT_CAP; each block converts once
     per call, and a kernel row's weights are a strided view of its group's.
-    Where a kernel row has fewer taps than twice its GEMM's columns, the
-    adds of k products cost more than the copy saves: there a window holds
-    the whole group's kernel rows, the same layout with q = g rows in place
-    of one (at q = k, im2col), and a group runs one GEMM a chunk.  A GEMM
-    multiplies windows by weights, giving pixel-major dots; where a chunk
-    has fewer pixels than its GEMM has weight columns (ResNet stage 4: 49
-    against 256) it multiplies weights by windows, which BLAS runs faster
-    there, and its channel-major dots are read transposed.
+    A GEMM multiplies windows by weights, giving pixel-major dots; where a
+    chunk has fewer pixels than its GEMM has weight columns (ResNet stage
+    4: 49 against 256) it multiplies weights by windows, which BLAS runs
+    faster there, and its channel-major dots are read transposed.
 
-    A group's windows add their dots in float32, and the group adds its
-    dots plus its taps T = bases*g*k*n_in to the int32 sums (the first
-    group writes them), so the sums end at dot + bases*k*k*n_in with no
-    correction.  An unpaired group's partial dots are integers of magnitude
-    <= bases*k*k*n_in < 2**24, exact in float32.  A group whose T lies in
-    _PAIR_TAPS (256 to 2047) pairs its channels: with h = ceil(m/2), GEMM
-    column j < h holds the summed weights w_j + 4096*w_{j+h} (w_{h-1} alone
-    where m is odd), so its windows add up to P = d_j + 4096*d_{j+h}, every
-    partial sum an integer of magnitude <= 4097T < 2**24, exact in float32.
-    In int32, U = P + 4097T holds d_j + T in its low 12 bits and d_{j+h} + T
-    above them, both in [0, 2T] with 2T < 4096, and they decode once a
-    group and chunk, in the block's channel order.  The bound is exactness;
-    the floor is cost: under 256 taps the decode costs more than the GEMM
+    A group's kernel rows add their dots in float32, and the group adds its
+    popcounts (dot + T)/2, T = bases*g*k*n_in its taps, to the int32 sums
+    (the first group writes them): a dot over T taps has the parity of T,
+    so each group's half is an integer.  An unpaired group's partial dots
+    are integers of magnitude <= bases*k*k*n_in < 2**24, exact in float32.
+    A group whose T lies in _PAIR_TAPS (256 to 2047) pairs its channels:
+    with h = ceil(m/2), GEMM column j < h holds the summed weights
+    w_j + 4096*w_{j+h} (w_{h-1} alone where m is odd), so its kernel rows
+    add up to P = d_j + 4096*d_{j+h}, every partial sum an integer of
+    magnitude <= 4097T < 2**24, exact in float32.  In int32, U = P + 4097T
+    holds d_j + T in its low 12 bits and d_{j+h} + T above them, both even
+    and in [0, 2T] with 2T < 4096; halved, U holds (d_j + T)/2 in its low
+    11 bits and (d_{j+h} + T)/2 from bit 12, and they decode once a group
+    and chunk, in the block's channel order.  The bound is exactness; the
+    floor is cost: under 256 taps the decode costs more than the GEMM
     columns it saves.
     """
     weights = np.asarray(weights, dtype=np.uint16)
@@ -293,14 +290,10 @@ def xnor_conv(
     height = x.height + 2 * p
     if not one_gemm:
         # Groups of g kernel rows by m output channels, as many rows as fit
-        # the weight buffer, then as many channels.  A window holds q kernel
-        # rows: one (row windows) where a kernel row has at least twice as
-        # many taps as its GEMM has columns, else the whole group, where the
-        # copy costs less than adding the products of few-tap GEMMs (convs
-        # of 4 to 20 inputs into 32 to 64 outputs ran 10-24% slower on row
-        # windows, 16 into 16 8% faster).  Chunks stop at _MAX_PIXELS
-        # pixels: past that, a layer of few taps and channels (sed c1, 288
-        # taps by 32) loses more to adds out of cache than its GEMMs gain.
+        # the weight buffer, then as many channels.  Chunks stop at
+        # _MAX_PIXELS pixels: past that, a layer of few taps and channels
+        # (sed c1, 288 taps by 32) loses more to adds out of cache than its
+        # GEMMs gain.
         row = k * n_in  # taps of a kernel row
 
         def paired(g):  # a group of g kernel rows puts two channels in a GEMM column
@@ -311,14 +304,11 @@ def xnor_conv(
 
         g = next((g for g in range(k, 1, -1) if columns(g, n_out) * g * row <= _WEIGHT_CAP), 1)
         m = max(1, min(n_out, _WEIGHT_CAP // (g * row) * (2 if paired(g) else 1)))
-        q = 1 if row >= 2 * columns(g, m) else g
-        starts = range(0, k, q)  # first kernel rows of the windows
-        phases = 1 + max(u % stride for u in starts)
-        reach = max(u // stride for u in starts)  # phase rows past a chunk's own
-        chunk = max(1, min(oh, _BUFFER_CAP // (phases * ow * q * row) - reach,
+        phases, reach = min(stride, k), (k - 1) // stride  # reach: phase rows past a chunk's own
+        chunk = max(1, min(oh, _BUFFER_CAP // (phases * ow * row) - reach,
                            _BUFFER_CAP // (ow * m), _MAX_PIXELS // ow))
         # the copies may read rows past the padded map that no GEMM reads
-        height = max(height, stride * (oh - 1 + reach) + phases + q - 1)
+        height = max(height, stride * (oh - 1 + reach) + phases)
 
     pm = np.full((height, c1 - c0, n_in), 1 if padding == "same1" else -1, dtype=np.int8)
     pm[p:p + x.height, s0 - c0:s1 - c0] = _bipolar_lanes(
@@ -341,10 +331,10 @@ def xnor_conv(
     groups = [(u0, min(u0 + g, k)) for u0 in range(0, k, g)]
     w_buf = np.empty(max(columns(u1 - u0, m) * (u1 - u0) for u0, u1 in groups) * row,
                      dtype=np.float32)
-    windows = np.empty(phases * (chunk + reach) * ow * q * row, dtype=np.float32)
+    windows = np.empty(phases * (chunk + reach) * ow * row, dtype=np.float32)
     prod = np.empty(chunk * ow * m, dtype=np.float32)
-    # later windows' dots while a group's GEMMs run, later groups' sums after
-    part = np.empty(chunk * ow * m if g > q or g < k else 0, dtype=np.float32)
+    # later kernel rows' dots while a group's GEMMs run, later groups' sums after
+    part = np.empty(chunk * ow * m if k > 1 else 0, dtype=np.float32)
     dec = part.view(np.int32)
     y_chunks = range(0, oh, chunk)
     for o0, (u0, u1) in itertools.product(range(0, n_out, m), groups):
@@ -353,23 +343,21 @@ def xnor_conv(
         w_rows = w_sum.reshape(len(w_sum), u1 - u0, row)
         for y0 in y_chunks:
             rows = min(chunk, oh - y0)
-            shape = (phases, rows + reach, ow, q, k, n_in)
-            r = windows[:math.prod(shape)].reshape(phases, -1, q * row)
+            shape = (phases, rows + reach, ow, k, n_in)
+            r = windows[:math.prod(shape)].reshape(phases, -1, row)
             if len(y_chunks) > 1 or not (o0 or u0):  # one copy of the chunk's windows
                 np.copyto(r.reshape(shape), np.ndarray(shape, np.int8, pm, stride * y0 * sy,
-                                                       (sy, stride * sy, stride * sx, sy, sx, sc)))
+                                                       (sy, stride * sy, stride * sx, sx, sc)))
             n = rows * ow * len(w_sum)
-            for v0 in range(u0, u1, q):  # the windows of kernel rows [v0, v1)
-                v1 = min(v0 + q, u1)
-                j = v0 // stride * ow
-                a = r[v0 % stride, j:j + rows * ow, :(v1 - v0) * row]
-                w = w_rows[:, v0 - u0:v1 - u0].reshape(len(w_sum), -1)
-                dst = (prod if v0 == u0 else part)[:n]
+            for v in range(u0, u1):  # kernel row v's windows
+                j = v // stride * ow
+                a, w = r[v % stride, j:j + rows * ow], w_rows[:, v - u0]
+                dst = (prod if v == u0 else part)[:n]
                 if len(a) < len(w):  # fewer pixels than GEMM columns: weights first
                     np.matmul(w, a.T, out=dst.reshape(len(w), -1))
                 else:
                     np.matmul(a, w.T, out=dst.reshape(len(a), -1))
-                if v0 > u0:
+                if v > u0:
                     prod[:n] += dst
             out = prod[:n].reshape(len(w), -1).T if len(a) < len(w) else prod[:n].reshape(len(a), -1)
             block = sums[y0:y0 + rows, :, o0:o0 + m]
@@ -377,14 +365,15 @@ def xnor_conv(
             if paired(u1 - u0):  # U = P + 4097T: d_j + T in its low 12 bits, d_{j+h} + T above
                 u = np.add(out, t * ((1 << _PAIR_SHIFT) + 1), out=out.view(np.int32),
                            dtype=np.int32, casting="unsafe").reshape(*block.shape[:2], -1)
+                u >>= 1  # both fields even: (d_j + T)/2 in the low 11 bits, the other from bit 12
                 h = u.shape[-1]
-                np.bitwise_and(u, (1 << _PAIR_SHIFT) - 1, out=fields[..., :h])
+                np.bitwise_and(u, (1 << (_PAIR_SHIFT - 1)) - 1, out=fields[..., :h])
                 np.right_shift(u[..., :block.shape[-1] - h], _PAIR_SHIFT, out=fields[..., h:])
             else:  # int32: T + a partial dot may pass 2**24
                 np.add(out.reshape(block.shape), t, out=fields, dtype=np.int32, casting="unsafe")
+                fields >>= 1
             if u0:
                 block += fields
-    sums >>= 1
     return IntTensor(n_out, oh, ow, sums.transpose(2, 0, 1))
 
 

@@ -1,10 +1,19 @@
 """Command-line surface: verify, run, sweep, report."""
 
+import contextlib
+import io
+import math
+import re
 import struct
+import tempfile
 import zlib
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bnnsim.cli import main
 
@@ -102,6 +111,11 @@ def _one_error_line(capsys) -> str:
     return err[0]
 
 
+# finite values the arch accepts but whose run report overflows: the error
+# names the report's first number that is not finite
+REPORT_OVERFLOWS = {("f_clk", "1e308"): "gops = 'inf'", ("io_pj_per_bit", "1e308"): "io_mw = 'inf'"}
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("operating", "f_clk", "-1"),
     ("memory", "io_bits_per_cycle", "0"),
@@ -110,6 +124,8 @@ def _one_error_line(capsys) -> str:
     ("compute", "n_bpu", "0"),
     ("operating", "f_clk", "inf"),
     ("calibration", "io_pj_per_bit", "1e400"),
+    ("operating", "f_clk", "1e308"),
+    ("calibration", "io_pj_per_bit", "1e308"),
     pytest.param("calibration", "breakdown", "1000 memory:0.561, interconnect:0.157, "
                  "compute:0.176, control:0.027, other:0.079", id="calibration-breakdown-misnamed"),
 ])
@@ -118,7 +134,7 @@ def test_run_rejects_bad_arch_value(tmp_path, capsys, section, key, value):
     cfg.write_text(f"[{section}]\n{key} = {value}\n")
     rc = main(["run", "resnet18_ilsvrc", "--arch", str(cfg)])
     assert rc == 2
-    assert key in _one_error_line(capsys)
+    assert REPORT_OVERFLOWS.get((key, value), key) in _one_error_line(capsys)
 
 
 def test_run_rejects_input_of_wrong_dims(tmp_path, capsys):
@@ -229,3 +245,41 @@ def test_malformed_content_clean_error(tmp_path, capsys, case):
     argv, message = case(tmp_path)
     assert main(argv) == 2
     assert message in _one_error_line(capsys)
+
+
+DEFAULT_ARCH = (files("bnnsim") / "shapes" / "default.arch").read_text().splitlines()
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(key=st.sampled_from([line.partition(" = ")[0] for line in DEFAULT_ARCH
+                            if _is_float(line.partition(" = ")[2])]),
+       value=st.sampled_from(["0", "-1", "1e308", "1e400", "nan", "inf", "x", ""]))
+@example(key="f_clk", value="1e308")
+@example(key="io_pj_per_bit", value="1e308")
+def test_run_with_one_arch_value_ends_in_report_or_typed_error(key, value):
+    # one numeric key of the bundled arch file set to an extreme or malformed
+    # value: the run either reports only finite numbers or exits 2 with one
+    # error line; an exception escaping main fails the test
+    lines = [f"{key} = {value}" if line.partition(" = ")[0] == key else line
+             for line in DEFAULT_ARCH]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.arch"
+        path.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["run", "vgg_like_cifar10", "--arch", str(path)])
+    if rc == 0:
+        numbers = [float(t) for t in re.split(r"[\s=,:()\[\]]+", out.getvalue()) if _is_float(t)]
+        assert numbers and all(math.isfinite(v) for v in numbers), (key, value)
+    else:
+        assert rc == 2, (key, value, rc)
+        errors = err.getvalue().strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:"), (key, value, errors)

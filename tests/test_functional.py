@@ -236,20 +236,19 @@ def group_rows(cap, k, row, bases, n_out):
                       if gemm_columns(bases * g * row, n_out) * g * row <= cap])
 
 
-def conv_gemms(oh, ow, k, n_in, bases, rows, g, q, m, n_out):
+def conv_gemms(oh, ow, k, n_in, bases, rows, g, m, n_out):
     """(pixels, taps, columns) of each GEMM of the blocked kernel: for each
     block of m channels, group of g kernel rows and chunk of `rows` output
-    rows, one GEMM per window of q kernel rows of the group."""
-    return [(r * ow, qq * k * n_in, gemm_columns(bases * gg * k * n_in, mm))
+    rows, one GEMM per kernel row of the group, over its k * n_in taps."""
+    return [(r * ow, k * n_in, gemm_columns(bases * gg * k * n_in, mm))
             for mm in block_sizes(n_out, m) for gg in block_sizes(k, g)
-            for r in block_sizes(oh, rows) for qq in block_sizes(gg, q)]
+            for r in block_sizes(oh, rows) for _ in range(gg)]
 
 
 def blockings(ow, k, stride, n_in, n_out, bases):
     """Settings of (window/product cap, weight cap, pixel ceiling) and the
     blocking each must take: (rows per chunk or None for all, kernel rows
-    per weight group, output channels per block).  Every window holds one
-    kernel row here: a row has 17k taps, at least twice the GEMM columns."""
+    per weight group, output channels per block)."""
     big = 1 << 30
     row = k * n_in
     phases, reach = min(stride, k), (k - 1) // stride
@@ -315,7 +314,7 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, gemms, k, stride, bases):
             gemms.clear()
             got = xnor_conv(x, wts, k, stride, "same1", (lo, hi)).values
             assert np.array_equal(got, want[:, :, lo:hi]), (name, lo, hi)
-            sizes = conv_gemms(oh, hi - lo, k, n_in, bases, rows or oh, g, 1, m, n_out)
+            sizes = conv_gemms(oh, hi - lo, k, n_in, bases, rows or oh, g, m, n_out)
             assert sorted(gemms) == sorted(gemm(*size) for size in sizes), (name, lo, hi)
             weights_first |= {pixels < columns for pixels, _, columns in sizes}
     assert weights_first == {False, True}  # both orders ran
@@ -324,10 +323,11 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, gemms, k, stride, bases):
 @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (5, 2), (7, 1), (7, 2)])
 def test_conv_few_tap_rows_copy_whole_groups(monkeypatch, gemms, k, stride):
     # 3 input channels give kernel rows of 3k taps, under twice the 20 GEMM
-    # columns: each window holds a whole group of kernel rows (im2col), and
-    # a group runs one GEMM a chunk.  A weight cap of 2 kernel rows (3 at
-    # k = 7) gives groups of 2 + 1, 2 + 2 + 1 and 3 + 3 + 1 rows: at stride
-    # 2 and k = 7 the groups start on input rows of both phases
+    # columns: few taps a GEMM, yet each kernel row runs its own GEMM over
+    # its row windows, and a group adds its rows' products in float32.
+    # A weight cap of 2 kernel rows (3 at k = 7) gives groups of 2 + 1,
+    # 2 + 2 + 1 and 3 + 3 + 1 rows: at stride 2 the kernel rows of a group
+    # read input rows of both phases
     n_in, n_out, h, w, bases = 3, 20, 13, 9, 1
     rng = np.random.default_rng(100 + 10 * k + stride)
     x, w1 = random_operands(rng, n_in, h, w, n_out * bases, k)
@@ -342,7 +342,7 @@ def test_conv_few_tap_rows_copy_whole_groups(monkeypatch, gemms, k, stride):
         gemms.clear()
         assert np.array_equal(xnor_conv(x, wts, k, stride, "same0", (lo, hi)).values,
                               want[:, :, lo:hi]), (lo, hi)
-        sizes = conv_gemms(oh, hi - lo, k, n_in, bases, 2, g, g, n_out, n_out)
+        sizes = conv_gemms(oh, hi - lo, k, n_in, bases, 2, g, n_out, n_out)
         assert sorted(gemms) == sorted(gemm(*size) for size in sizes), (lo, hi)
 
 
