@@ -3,15 +3,12 @@
 This path shares no packed-word, convolution or pooling code with the
 simulator and the golden model.  Its own np.unpackbits unpacks tensors into
 +/-1 maps kept channels-last: each is a (C, H, W) view of (H, W, C) memory.
-The correlation is an im2col GEMM per chunk of output rows: the k x k
-windows of the padded map copy into a float32 (rows*ow) x (k*k*n_in) column
-matrix, which multiplies each block of output channels' float32 (k, k, n_in)
-weight rows, transposed (or, where the weights take several blocks, the
-columns copy transposed and the rows multiply them), into pixel-major int32
-sums.  Every base is correlated and mapped back to a binary-domain sum on
-its own.  Pooling reduces integer sums directly.  The products are exact
-integers while k*k*n_in < 2**24.  It cross-checks the golden model and the
-simulator.
+The correlation lowers each input row once (row windows, after MEC: Cho &
+Brand, ICML 2017) and runs one float32 GEMM per kernel row into pixel-major
+int32 sums (`bipolar_conv`).  Every base is correlated and mapped back to
+a binary-domain sum on its own.  Pooling reduces integer sums directly.  The
+products are exact integers while k*k*n_in < 2**24.  It cross-checks the
+golden model and the simulator.
 """
 
 from __future__ import annotations
@@ -21,10 +18,11 @@ import numpy as np
 from .errors import ShapeError
 from .tensors import LANES, BinaryTensor
 
-# float32 entries (1 MB each) in bipolar_conv's weight block and column matrix;
-# a 2 MB weight block put a checked resnet18 frame's peak RSS 1.7 MB higher
+# float32 entries (1 MB each) in bipolar_conv's weight block, and in its window
+# buffer and each of its product buffers; a 2 MB weight block put a checked
+# resnet18 frame's peak RSS 1.7 MB higher
 _WEIGHT_CAP = 1 << 18
-_COLUMN_CAP = 1 << 18
+_WINDOW_CAP = 1 << 18
 
 
 def unpack_bipolar(t: BinaryTensor) -> np.ndarray:
@@ -81,57 +79,74 @@ def bipolar_conv(
 
     `x` is (n_in, h, w) in any memory order; `w` is (n_out, n_in, k, k) +/-1:
     an array, or `PackedWeights`, which unpacks one block of output channels
-    at a time.  The map pads channels-last, and for each chunk of output rows
-    a window view of it copies once into a float32 column matrix, which takes
-    one GEMM against each block of output channels' float32 (k, k, n_in)
-    rows.  Blocks convert again for each chunk, unless one block holds every
-    channel.
+    at a time.  Each chunk of output rows copies the input rows it reads,
+    padded channels-last, once into a float32 buffer (input rows, ow,
+    k*n_in) of their k-tap windows.  Kernel row u runs one GEMM per block of
+    output channels over rows u, u + stride, ... of it (a contiguous view at
+    stride 1, else a copy), and the kernel rows' products add in float32.
+    A block holds the most channels whose kernel-row weights fit _WEIGHT_CAP
+    and converts for each chunk and kernel row, unless all of the layer's
+    weights fit: then they convert once.  A chunk with fewer pixels than its
+    block has channels multiplies weights by windows.
     """
     n_out, n_in, k, _ = w.shape
     if x.shape[0] != n_in:
         raise ShapeError(f"input has {x.shape[0]} channels, weights expect {n_in}")
-    kk = k * k * n_in
-    if kk >= 1 << 24:  # past this, float32 sums stop being exact
+    row = k * n_in  # taps of a kernel row
+    if k * row >= 1 << 24:  # past this, float32 sums stop being exact
         raise ShapeError(f"{k}x{k}x{n_in} taps exceed the exact float32 range")
-    x = x.transpose(1, 2, 0)  # channels-last
-    if padding != "none":
-        p, (h, wd) = (k - 1) // 2, x.shape[:2]
-        xp = np.full((h + 2 * p, wd + 2 * p, n_in), 1 if padding == "same1" else -1, x.dtype)
-        xp[p:p + h, p:p + wd] = x
-        x = xp
-    oh = (x.shape[0] - k) // stride + 1
-    ow = (x.shape[1] - k) // stride + 1
-    sy, sx, sc = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (oh, ow, k, k, n_in), (stride * sy, stride * sx, sy, sx, sc), writeable=False)
-    m = _even_split(n_out, _WEIGHT_CAP // kk)
-    rows = _even_split(oh, _COLUMN_CAP // (kk * ow))
-    w_buf = np.empty(m * kk, dtype=np.float32)
-    cols = np.empty(rows * ow * kk, dtype=np.float32)
+    p, (h, wd) = (k - 1) // 2 if padding != "none" else 0, x.shape[1:]
+    xp = np.full((h + 2 * p, wd + 2 * p, n_in), 1 if padding == "same1" else -1, x.dtype)
+    xp[p:p + h, p:p + wd] = x.transpose(1, 2, 0)  # channels-last
+    oh = (h + 2 * p - k) // stride + 1
+    ow = (wd + 2 * p - k) // stride + 1
+    whole = n_out * k * row <= _WEIGHT_CAP
+    m = n_out if whole else _even_split(n_out, _WEIGHT_CAP // row)
+    rows = _even_split(oh, min((_WINDOW_CAP // (ow * row) - k) // stride + 1,
+                               _WINDOW_CAP // (ow * m)))
+    w_buf = np.empty((k if whole else 1) * m * row, dtype=np.float32)
+    if whole:  # every kernel row's weights, converted once
+        np.copyto(w_buf.reshape(k, m, k, n_in), w[:].transpose(2, 0, 3, 1))
+    windows = np.empty((stride * (rows - 1) + k, ow, k, n_in), dtype=np.float32)
+    win_rows = windows.reshape(len(windows), -1)  # an input row's windows a row
+    win_taps = windows.reshape(-1, row)  # a window's kernel-row taps a row
+    strided = np.empty((rows if stride > 1 else 0, ow * row), dtype=np.float32)
+    acc, part = np.empty((2, rows * ow * m if k > 1 else 0), dtype=np.float32)
     sums = np.empty((oh, ow, n_out), dtype=np.int32)
     flat = sums.reshape(oh * ow, n_out)
-    # Where the weights take several blocks, the columns copy transposed, (k*k*n_in) x
-    # (rows*ow), for each block's rows to multiply: that GEMM ran 10-20% faster on AlexNet
-    # and ResNet stage 3-4 shapes; with one block (sed, ResNet stages 1-2, random nets)
-    # the transposing copy cost more than the GEMM saved
-    tall = m < n_out
+    sy, sx, sc = xp.strides
     for y0 in range(0, oh, rows):
-        src = win[y0:y0 + rows].transpose(2, 3, 4, 0, 1) if tall else win[y0:y0 + rows]
-        a = cols[:src.size].reshape(src.shape)
-        np.copyto(a, src)
-        a = a.reshape(kk, -1) if tall else a.reshape(-1, kk)
+        n = min(rows, oh - y0)  # output rows of this chunk
+        shape = (stride * (n - 1) + k, ow, k, n_in)  # its input rows' windows
+        np.copyto(windows[:shape[0]],
+                  np.ndarray(shape, xp.dtype, xp, stride * y0 * sy, (sy, stride * sx, sx, sc)))
         for o0 in range(0, n_out, m):
-            if y0 == 0 or m < n_out:
-                w_blk = w[o0:o0 + m].transpose(0, 2, 3, 1)  # contiguous when unpacked from words
-                w_f = w_buf[:w_blk.size].reshape(w_blk.shape)
-                np.copyto(w_f, w_blk)
-                w_f = w_f.reshape(len(w_f), kk)
-                del w_blk  # free an unpacked block before the next one unpacks
-            out = flat[y0 * ow:(y0 + rows) * ow, o0:o0 + len(w_f)]  # this chunk's pixels
-            if tall:
-                np.copyto(out, (w_f @ a).T, casting="unsafe")
+            # kernel row first; each (channel, k, n_in) row contiguous once unpacked
+            w_blk = w_buf.reshape(k, m, row) if whole else w[o0:o0 + m].transpose(2, 0, 3, 1)
+            c = w_blk.shape[1]  # channels of the block
+            first = n * ow < c  # fewer pixels than channels: weights first
+            dst = flat[y0 * ow:(y0 + n) * ow, o0:o0 + c]  # this chunk's pixels
+            dst = dst.T if first else dst
+            if k == 1:  # one kernel row: its GEMM writes the sums
+                sum_u = dst
             else:
-                np.matmul(a, w_f.T, out=out, casting="unsafe")
+                sum_u, prod = (b[:dst.size].reshape(dst.shape) for b in (acc, part))
+            for u in range(k):
+                if stride == 1:
+                    a = win_taps[u * ow:(u + n) * ow]
+                else:
+                    np.copyto(strided[:n], win_rows[u:u + stride * n:stride])
+                    a = strided[:n].reshape(-1, row)
+                w_u = w_blk[u] if whole else w_buf[:c * row].reshape(c, row)
+                if not whole:
+                    np.copyto(w_u.reshape(c, k, n_in), w_blk[u])
+                np.matmul(*((w_u, a.T) if first else (a, w_u.T)),
+                          out=prod if u else sum_u, casting="unsafe")
+                if u:
+                    sum_u += prod
+            if k > 1:  # one cast: a float32 add with an int32 output ran slower
+                dst[...] = sum_u
+            del w_blk  # free an unpacked block before the next one unpacks
     return sums.transpose(2, 0, 1)
 
 

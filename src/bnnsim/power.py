@@ -42,6 +42,11 @@ class CalibrationTable:
         bad = [key for key, vs in values.items() if not all(-math.inf < v < math.inf for v in vs)]
         if bad:
             raise BnnSimError("calibration values must be finite: " + ", ".join(bad))
+        if not 0 <= self.gated_banks < self.full_banks:  # the memory slope divides by their gap
+            raise BnnSimError(f"calibration needs 0 <= gated_banks < full_banks, not "
+                              f"gated_banks = {self.gated_banks}, full_banks = {self.full_banks}")
+        if self.io_pj_per_bit < 0:
+            raise BnnSimError(f"io_pj_per_bit = {self.io_pj_per_bit} is negative")
         if sorted(self.breakdown) != sorted(COMPONENTS):
             raise BnnSimError(f"breakdown names {', '.join(self.breakdown)}, "
                               f"not the components {', '.join(COMPONENTS)}")

@@ -126,6 +126,9 @@ REPORT_OVERFLOWS = {("f_clk", "1e308"): "gops = 'inf'", ("io_pj_per_bit", "1e308
     ("calibration", "io_pj_per_bit", "1e400"),
     ("operating", "f_clk", "1e308"),
     ("calibration", "io_pj_per_bit", "1e308"),
+    ("calibration", "full_banks", "4"),  # = gated_banks: the memory slope divides by zero
+    ("calibration", "full_banks", "2"),  # below gated_banks: negative core power
+    ("calibration", "io_pj_per_bit", "-1"),  # negative I/O energy
     pytest.param("calibration", "breakdown", "1000 memory:0.561, interconnect:0.157, "
                  "compute:0.176, control:0.027, other:0.079", id="calibration-breakdown-misnamed"),
 ])
@@ -258,17 +261,20 @@ def _is_float(token: str) -> bool:
     return True
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(key=st.sampled_from([line.partition(" = ")[0] for line in DEFAULT_ARCH
-                            if _is_float(line.partition(" = ")[2])]),
-       value=st.sampled_from(["0", "-1", "1e308", "1e400", "nan", "inf", "x", ""]))
-@example(key="f_clk", value="1e308")
-@example(key="io_pj_per_bit", value="1e308")
-def test_run_with_one_arch_value_ends_in_report_or_typed_error(key, value):
-    # one numeric key of the bundled arch file set to an extreme or malformed
-    # value: the run either reports only finite numbers or exits 2 with one
-    # error line; an exception escaping main fails the test
-    lines = [f"{key} = {value}" if line.partition(" = ")[0] == key else line
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(changes=st.dictionaries(
+    st.sampled_from([line.partition(" = ")[0] for line in DEFAULT_ARCH
+                     if _is_float(line.partition(" = ")[2])]),
+    st.sampled_from(["0", "-1", "1e308", "1e400", "nan", "inf", "x", ""]),
+    min_size=1, max_size=2))
+@example(changes={"f_clk": "1e308"})
+@example(changes={"io_pj_per_bit": "1e308"})
+@example(changes={"full_banks": "0", "gated_banks": "0"})
+def test_run_with_one_arch_value_ends_in_report_or_typed_error(changes):
+    # one or two numeric keys of the bundled arch file set to extreme or
+    # malformed values: the run either reports only finite numbers or exits 2
+    # with one error line; an exception escaping main fails the test
+    lines = [f"{key} = {changes[key]}" if (key := line.partition(" = ")[0]) in changes else line
              for line in DEFAULT_ARCH]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -278,8 +284,8 @@ def test_run_with_one_arch_value_ends_in_report_or_typed_error(key, value):
             rc = main(["run", "vgg_like_cifar10", "--arch", str(path)])
     if rc == 0:
         numbers = [float(t) for t in re.split(r"[\s=,:()\[\]]+", out.getvalue()) if _is_float(t)]
-        assert numbers and all(math.isfinite(v) for v in numbers), (key, value)
+        assert numbers and all(math.isfinite(v) for v in numbers), changes
     else:
-        assert rc == 2, (key, value, rc)
+        assert rc == 2, (changes, rc)
         errors = err.getvalue().strip().splitlines()
-        assert len(errors) == 1 and errors[0].startswith("error:"), (key, value, errors)
+        assert len(errors) == 1 and errors[0].startswith("error:"), (changes, errors)

@@ -321,7 +321,7 @@ def test_conv_small_cap_blocks_and_chunks(monkeypatch, gemms, k, stride, bases):
 
 
 @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (5, 2), (7, 1), (7, 2)])
-def test_conv_few_tap_rows_copy_whole_groups(monkeypatch, gemms, k, stride):
+def test_conv_few_tap_rows_run_row_windows(monkeypatch, gemms, k, stride):
     # 3 input channels give kernel rows of 3k taps, under twice the 20 GEMM
     # columns: few taps a GEMM, yet each kernel row runs its own GEMM over
     # its row windows, and a group adds its rows' products in float32.

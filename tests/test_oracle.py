@@ -1,4 +1,4 @@
-"""The bipolar oracle's own pieces: its im2col correlation against a
+"""The bipolar oracle's own pieces: its row-window correlation against a
 per-pixel window sum written here, its bounds and parity checks, the
 traced memory of one oracle frame, and its independence from the code it
 checks.
@@ -43,42 +43,99 @@ CONV_CASES = [
     (3, 1, "same0", 37, 9, 11, 6),
     (5, 1, "none", 3, 4, 9, 9),
     (1, 2, "same1", 17, 6, 7, 8),
+    (3, 2, "same0", 5, 7, 15, 15),
 ]
 
 
-def check_window_sums(monkeypatch, block, k, stride, padding, n_in, n_out, h, w):
+@pytest.fixture
+def calls(monkeypatch):
+    """(source dtype, source shape) of every np.copyto and the operand shapes
+    of every np.matmul the test makes."""
+    seen = {"copy": [], "gemm": []}
+    copyto, matmul = np.copyto, np.matmul
+
+    def copy_spy(dst, src, **kw):
+        seen["copy"].append((src.dtype, src.shape))
+        return copyto(dst, src, **kw)
+
+    def gemm_spy(a, b, **kw):
+        seen["gemm"].append((a.shape, b.shape))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "copyto", copy_spy)
+    monkeypatch.setattr(np, "matmul", gemm_spy)
+    return seen
+
+
+def check_window_sums(monkeypatch, calls, block, rows, k, stride, padding, n_in, n_out, h, w):
     """bipolar_conv, on an array and on `PackedWeights`, against window_sums,
-    with caps of `block` output channels and three output rows: every case
-    runs several row chunks, the last one short."""
+    with a weight cap of `block` output channels a kernel row (None: the
+    whole layer's weights) and a window buffer of the input rows of `rows`
+    output rows.  Each chunk of output rows copies its row windows once and
+    runs one GEMM per kernel row and block; the weights convert once where
+    they all fit, else once per chunk, block and kernel row."""
     rng = np.random.default_rng(k * 100 + n_in)
-    kk = k * k * n_in
+    row = k * n_in
     p = (k - 1) // 2 if padding != "none" else 0
     ow = (w + 2 * p - k) // stride + 1
-    monkeypatch.setattr(oracle, "_WEIGHT_CAP", block * kk)
-    monkeypatch.setattr(oracle, "_COLUMN_CAP", 3 * kk * ow)
+    assert ow != n_out  # then window copies and weight conversions differ in shape
+    m = n_out if block is None else -(-n_out // -(-n_out // block))  # channels a block
+    assert (stride * (rows - 1) + k) * row >= rows * m  # the window buffer sets the chunk
+    monkeypatch.setattr(oracle, "_WEIGHT_CAP", (n_out * k if block is None else block) * row)
+    monkeypatch.setattr(oracle, "_WINDOW_CAP", (stride * (rows - 1) + k) * ow * row)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_in, h, w))
     packed = rng.integers(0, 1 << 16, size=(n_out, k, k, n_groups(n_in)), dtype=np.uint16)
     w_bip = np.ascontiguousarray(unpack_weights_bipolar(packed, n_in))
     want = window_sums(x, w_bip, stride, padding)
-    assert want.shape[1] > 3
-    assert np.array_equal(bipolar_conv(x, w_bip, stride=stride, padding=padding), want)
-    got = bipolar_conv(x, PackedWeights(packed, n_in), stride=stride, padding=padding)
-    assert got.dtype == np.int32 and np.array_equal(got, want)
+    oh = want.shape[1]
+    chunks = -(-oh // rows)
+    assert chunks > 1
+    blocks = [min(m, n_out - o0) for o0 in range(0, n_out, m)]  # their channels
+    for weights in (w_bip, PackedWeights(packed, n_in)):
+        calls["copy"].clear()
+        calls["gemm"].clear()
+        got = bipolar_conv(x, weights, stride=stride, padding=padding)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+        int8 = [shape for dtype, shape in calls["copy"] if dtype == np.int8]
+        windows = [s for s in int8 if len(s) == 4 and s[1:] == (ow, k, n_in)]
+        assert len(windows) == chunks  # one row-window copy a chunk
+        heights = [(s[0] - k) // stride + 1 for s in windows]
+        assert sum(heights) == oh and max(heights) <= rows
+        assert all(s[0] == stride * (n - 1) + k for s, n in zip(windows, heights))
+        converted = [s for s in int8 if s not in windows]
+        if block is None:  # converted once
+            assert converted == [(k, n_out, k, n_in)]
+        else:  # per chunk, block and kernel row
+            assert converted == [(c, k, n_in) for _ in heights for c in blocks for _ in range(k)]
+        strided = [shape for dtype, shape in calls["copy"] if dtype == np.float32]
+        assert strided == ([(n, ow * row) for n in heights for _ in blocks for _ in range(k)]
+                           if stride > 1 else [])
+        pixels = [n * ow for n in heights for _ in blocks for _ in range(k)]
+        columns = [c for _ in heights for c in blocks for _ in range(k)]
+        assert calls["gemm"] == [((c, row), (row, px)) if px < c else ((px, row), (row, c))
+                                 for px, c in zip(pixels, columns)]
 
 
 @pytest.mark.parametrize("k, stride, padding, n_in, n_out, h, w", CONV_CASES)
-def test_bipolar_conv_matches_window_sums(monkeypatch, k, stride, padding, n_in, n_out, h, w):
-    # three output channels a block: several blocks, the last one short, each
-    # multiplying the columns transposed, (k*k*n_in) x (rows*ow)
+def test_bipolar_conv_matches_window_sums(monkeypatch, calls, k, stride, padding, n_in, n_out,
+                                          h, w):
+    # three output channels a kernel-row block: several blocks, the last one short
     assert n_out > 3
-    check_window_sums(monkeypatch, 3, k, stride, padding, n_in, n_out, h, w)
+    check_window_sums(monkeypatch, calls, 3, 3, k, stride, padding, n_in, n_out, h, w)
 
 
 @pytest.mark.parametrize("k, stride, padding, n_in, n_out, h, w", CONV_CASES)
-def test_bipolar_conv_one_block_matches_window_sums(monkeypatch, k, stride, padding, n_in, n_out,
-                                                    h, w):
-    # one block holds every output channel: (rows*ow) x (k*k*n_in) columns
-    check_window_sums(monkeypatch, n_out, k, stride, padding, n_in, n_out, h, w)
+def test_bipolar_conv_one_block_matches_window_sums(monkeypatch, calls, k, stride, padding, n_in,
+                                                    n_out, h, w):
+    # every weight fits the cap: one block, converted once a call
+    check_window_sums(monkeypatch, calls, None, 3, k, stride, padding, n_in, n_out, h, w)
+
+
+@pytest.mark.parametrize("block", [10, None])
+def test_bipolar_conv_weights_first_matches_window_sums(monkeypatch, calls, block):
+    # one-row chunks of 4 pixels against blocks of 8 and 24 channels: the
+    # weights multiply the windows
+    check_window_sums(monkeypatch, calls, block, 1, 3, 1, "same0", 9, 24, 5, 4)
 
 
 def test_to_binary_sum_rejects_odd_sums():
