@@ -73,8 +73,8 @@ class ArchConfig:
         Runs on construction, so on every parsed config file, and again
         before planning, since fields may be changed after construction."""
         m = self.memory
-        values = {**vars(self.compute), **vars(m), **vars(self.op_point)}
-        bad = [f"{name} = {v}" for name, v in values.items()
+        bad = [f"{name} = {v}" for part in (self.compute, m, self.op_point)
+               for name, v in vars(part).items()
                if isinstance(v, (int, float)) and not 0 < v < math.inf]
         if bad:
             raise ShapeError("arch values must be positive and finite: " + ", ".join(bad))
@@ -134,13 +134,11 @@ def validate(net, arch: ArchConfig) -> FitReport:
     Byte accounting covers packed activation maps and parked residual
     planes; the in-flight partial-sum tile plane counts toward a layer's
     active banks but not toward the fit verdict.  Tile counts come from the
-    scheduler.
+    scheduler: the report equals `plan_network(net, arch).fit` wherever the
+    net plans, and no addresses are assigned.
     """
     from . import scheduler  # local import; scheduler depends on this module
 
-    net.validate()
-    if not net.binary_layers():
-        raise FitError("network has no binary layers to place")
     return scheduler.placement_report(net, arch)
 
 

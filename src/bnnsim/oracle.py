@@ -79,11 +79,13 @@ def bipolar_conv(
 
     `x` is (n_in, h, w) in any memory order; `w` is (n_out, n_in, k, k) +/-1:
     an array, or `PackedWeights`, which unpacks one block of output channels
-    at a time.  Each chunk of output rows copies the input rows it reads,
-    padded channels-last, once into a float32 buffer (input rows, ow,
-    k*n_in) of their k-tap windows.  Kernel row u runs one GEMM per block of
-    output channels over rows u, u + stride, ... of it (a contiguous view at
-    stride 1, else a copy), and the kernel rows' products add in float32.
+    at a time.  At stride 1 each chunk of output rows copies the input rows
+    it reads, padded channels-last, once into a float32 buffer (input rows,
+    ow, k*n_in) of their k-tap windows, and kernel row u runs one GEMM per
+    block of output channels over a view of rows u, u + 1, ... of it.  At
+    stride > 1 kernel row u copies only rows u, u + stride, ... of the windows
+    straight from the padded map, per block.  The kernel rows' products add
+    in float32.
     A block holds the most channels whose kernel-row weights fit _WEIGHT_CAP
     and converts for each chunk and kernel row, unless all of the layer's
     weights fit: then they convert once.  A chunk with fewer pixels than its
@@ -107,19 +109,19 @@ def bipolar_conv(
     w_buf = np.empty((k if whole else 1) * m * row, dtype=np.float32)
     if whole:  # every kernel row's weights, converted once
         np.copyto(w_buf.reshape(k, m, k, n_in), w[:].transpose(2, 0, 3, 1))
-    windows = np.empty((stride * (rows - 1) + k, ow, k, n_in), dtype=np.float32)
-    win_rows = windows.reshape(len(windows), -1)  # an input row's windows a row
+    # at stride 1 a chunk's input rows' windows, which each kernel row views;
+    # at stride > 1 one kernel row's every-stride rows, copied from the map
+    windows = np.empty((rows - 1 + k if stride == 1 else rows, ow, k, n_in), dtype=np.float32)
     win_taps = windows.reshape(-1, row)  # a window's kernel-row taps a row
-    strided = np.empty((rows if stride > 1 else 0, ow * row), dtype=np.float32)
     acc, part = np.empty((2, rows * ow * m if k > 1 else 0), dtype=np.float32)
     sums = np.empty((oh, ow, n_out), dtype=np.int32)
     flat = sums.reshape(oh * ow, n_out)
     sy, sx, sc = xp.strides
     for y0 in range(0, oh, rows):
         n = min(rows, oh - y0)  # output rows of this chunk
-        shape = (stride * (n - 1) + k, ow, k, n_in)  # its input rows' windows
-        np.copyto(windows[:shape[0]],
-                  np.ndarray(shape, xp.dtype, xp, stride * y0 * sy, (sy, stride * sx, sx, sc)))
+        if stride == 1:
+            shape = (n - 1 + k, ow, k, n_in)
+            np.copyto(windows[:shape[0]], np.ndarray(shape, xp.dtype, xp, y0 * sy, (sy, sx, sx, sc)))
         for o0 in range(0, n_out, m):
             # kernel row first; each (channel, k, n_in) row contiguous once unpacked
             w_blk = w_buf.reshape(k, m, row) if whole else w[o0:o0 + m].transpose(2, 0, 3, 1)
@@ -135,8 +137,10 @@ def bipolar_conv(
                 if stride == 1:
                     a = win_taps[u * ow:(u + n) * ow]
                 else:
-                    np.copyto(strided[:n], win_rows[u:u + stride * n:stride])
-                    a = strided[:n].reshape(-1, row)
+                    np.copyto(windows[:n], np.ndarray((n, ow, k, n_in), xp.dtype, xp,
+                                                      (stride * y0 + u) * sy,
+                                                      (stride * sy, stride * sx, sx, sc)))
+                    a = win_taps[:n * ow]
                 w_u = w_blk[u] if whole else w_buf[:c * row].reshape(c, row)
                 if not whole:
                     np.copyto(w_u.reshape(c, k, n_in), w_blk[u])

@@ -125,47 +125,11 @@ class PowerReport:
         return "\n".join(lines) + "\n"
 
 
-def _layer_power(calib: CalibrationTable, ls: LayerStats, cycles: int) -> tuple[dict, bool]:
-    """Core power (mW) components of one layer run of `cycles` cycles, and
-    whether its kernel lies outside the calibration."""
-    full, gated, flagged = calib.anchors(ls.k)
-    slope = (full - gated) / (calib.full_banks - calib.gated_banks)
-    f = calib.breakdown
-    op_ratio = ls.xnor_ops_done / (cycles * kernel_peak(ls.k)) if cycles else 0.0
-    mem_ratio = (ls.mem_accesses / cycles) / reference_mem_rate(ls.k) if cycles else 0.0
-    comp = {
-        "compute": full * f["compute"] * op_ratio,
-        "interconnect": full * f["interconnect"] * op_ratio,
-        "memory": max(full * f["memory"] - calib.full_banks * slope, 0.0) * mem_ratio
-                  + ls.active_banks * slope,
-        "control": full * f["control"],
-        "other": full * f["other"],
-    }
-    return comp, flagged
-
-
 def core_power(arch, stats: Stats) -> tuple[float, dict, list]:
-    """Time-averaged core power over all layer runs.
-
-    Anchored so a full-utilization run of a calibrated kernel at the
-    calibrated bank count reports the measured value exactly.
-    """
-    calib = arch.calib
-    energy = {c: 0.0 for c in COMPONENTS}  # in mW*cycles
-    flags = []
-    total_cycles = 0
-    for ls in stats.layers:
-        cycles = ls.cycles_total
-        comp, flagged = _layer_power(calib, ls, cycles)
-        if flagged and f"kernel {ls.k} outside calibration (interpolated)" not in flags:
-            flags.append(f"kernel {ls.k} outside calibration (interpolated)")
-        total_cycles += cycles
-        for c in COMPONENTS:
-            energy[c] += comp[c] * cycles
-    if total_cycles == 0:
-        return 0.0, {c: 0.0 for c in COMPONENTS}, []
-    per_component = {c: energy[c] / total_cycles for c in COMPONENTS}
-    return sum(per_component.values()), per_component, flags
+    """Time-averaged core power over all layer runs: (mW, mW per
+    component, calibration notes), as `full_report` works them out."""
+    rep = full_report(arch, stats)
+    return rep.core_mw, rep.per_component_mw, rep.flags
 
 
 def efficiency(stats: Stats, core_mw: float, f_clk: float) -> float:
@@ -179,26 +143,61 @@ def _tops_per_watt(ops: int, t: float, core_mw: float) -> float:
     return ops / t / (core_mw * 1e-3) / 1e12
 
 
-def _energy_uj(core_mw: float, t: float, io_bits: int,
-               calib: CalibrationTable) -> tuple[float, float, float]:
+def full_report(arch, stats: Stats) -> PowerReport:
+    """Power, efficiency and energy of a run, in one pass over its layer runs.
+
+    Core power is time-averaged over the layer runs.  Dynamic compute and
+    interconnect power scale with achieved ops per cycle, the memory share
+    above its floor with the access rate and, per active bank, with the
+    slope between the full and gated anchors; control and the remainder
+    burn per cycle.  Anchored so a full-utilization run of a calibrated
+    kernel at the calibrated bank count reports the measured value
+    exactly.  Off-chip traffic is charged per bit.
+    """
+    calib = arch.calib
+    f = calib.breakdown
+    flags = []
+    per_k = {}  # the anchor terms of each kernel size, worked out once a call
+    compute = interconnect = memory = control = other = 0.0  # in mW*cycles
+    cycles_total = ops = io_bits = 0
+    for ls in stats.layers:
+        if ls.k not in per_k:
+            full, gated, flagged = calib.anchors(ls.k)
+            slope = (full - gated) / (calib.full_banks - calib.gated_banks)
+            per_k[ls.k] = (full * f["compute"], full * f["interconnect"],
+                           max(full * f["memory"] - calib.full_banks * slope, 0.0), slope,
+                           full * f["control"], full * f["other"],
+                           kernel_peak(ls.k), reference_mem_rate(ls.k))
+            if flagged:
+                flags.append(f"kernel {ls.k} outside calibration (interpolated)")
+        full_c, full_i, mem_dyn, slope, full_ctl, full_o, peak, mem_rate = per_k[ls.k]
+        cycles = ls.cycles_total
+        op_ratio = ls.xnor_ops_done / (cycles * peak) if cycles else 0.0
+        mem_ratio = (ls.mem_accesses / cycles) / mem_rate if cycles else 0.0
+        compute += full_c * op_ratio * cycles
+        interconnect += full_i * op_ratio * cycles
+        memory += (mem_dyn * mem_ratio + ls.active_banks * slope) * cycles
+        control += full_ctl * cycles
+        other += full_o * cycles
+        cycles_total += cycles
+        ops += ls.xnor_ops_done
+        io_bits += ls.io_bits
+    if cycles_total:
+        per_component = {"memory": memory / cycles_total,
+                         "interconnect": interconnect / cycles_total,
+                         "compute": compute / cycles_total, "control": control / cycles_total,
+                         "other": other / cycles_total}
+        core_mw = sum(per_component.values())
+    else:
+        per_component, core_mw, flags = {c: 0.0 for c in COMPONENTS}, 0.0, []
+    t = cycles_total / arch.op_point.f_clk
     core_uj = core_mw * 1e-3 * t * 1e6
     io_uj = io_bits * calib.io_pj_per_bit * 1e-12 * 1e6
-    return core_uj, io_uj, core_uj + io_uj
-
-
-def full_report(arch, stats: Stats) -> PowerReport:
-    """Power, efficiency and energy of a run; each `Stats` total, a sum over
-    the layer runs on every read, is read once."""
-    f_clk = arch.op_point.f_clk
-    t = stats.time_s(f_clk)
-    core_mw, per_component, flags = core_power(arch, stats)
-    core_uj, io_uj, total_uj = _energy_uj(core_mw, t, stats.io_bits, arch.calib)
-    io_mw = io_uj / (t * 1e3) if t else 0.0
     return PowerReport(
         core_mw=core_mw,
-        io_mw=io_mw,
-        tops_per_watt=_tops_per_watt(stats.xnor_ops_done, t, core_mw),
-        energy_uj_per_inference=total_uj,
+        io_mw=io_uj / (t * 1e3) if t else 0.0,
+        tops_per_watt=_tops_per_watt(ops, t, core_mw),
+        energy_uj_per_inference=core_uj + io_uj,
         per_component_mw=per_component,
         core_uj=core_uj,
         io_uj=io_uj,

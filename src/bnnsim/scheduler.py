@@ -15,8 +15,9 @@ uniform-cost search over layer intervals picks which layers share stripes.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .arch import ArchConfig, FitEntry, FitReport, map_bytes, plane_bytes
 from .errors import FitError
@@ -66,7 +67,7 @@ def full_window(layer: LayerConfig) -> TileWindow:
     return TileWindow(0, layer.in_w, 0, layer.out_w, 0, layer.pooled_w)
 
 
-@dataclass(frozen=True)
+@dataclass
 class LoopNest:
     """The (n_o, base, n_i) block nest of one (layer, spatial tile) run.
 
@@ -118,22 +119,24 @@ class LoopNest:
         blocks of one out-tile width share load cycles and visibility."""
         first = self.out_tiles[0]
         total = self.load_cycles(first)
-        for ct_o, n in Counter(self.out_tiles).items():
+        for ct_o in set(self.out_tiles):
             if self.load_visible(False, ct_o):
-                blocks = n * self.blocks_per_out_tile - (ct_o == first)
+                blocks = self.out_tiles.count(ct_o) * self.blocks_per_out_tile - (ct_o == first)
                 total += blocks * self.load_cycles(ct_o)
         return total
 
 
-def _layer_nest(layer: LayerConfig, window: TileWindow,
-               io_bits_per_cycle: int | None) -> LoopNest:
+def _layer_nests(layer: LayerConfig, windows: list[TileWindow],
+                 io_bits_per_cycle: int | None) -> list[LoopNest]:
+    """The loop nest of each of a layer's tile windows (only widths differ)."""
     k, s, p = layer.k, layer.stride, layer.pad
-    return LoopNest(
-        out_tiles=tuple(channel_tiles(layer.n_out, C_O_TILE)), bases=layer.bases,
-        in_tiles=tuple(channel_tiles(layer.n_in, C_I_TILE)), k=k,
-        o_h=layer.out_h, o_w=window.out_w, in_w=window.in_w,
-        rows_used=min(layer.in_h, (layer.out_h - 1) * s - p + k),
-        k_first=min(layer.in_h, k - p), io_bits_per_cycle=io_bits_per_cycle)
+    out_tiles = tuple(channel_tiles(layer.n_out, C_O_TILE))
+    in_tiles = tuple(channel_tiles(layer.n_in, C_I_TILE))
+    rows_used = min(layer.in_h, (layer.out_h - 1) * s - p + k)
+    k_first = min(layer.in_h, k - p)
+    return [LoopNest(out_tiles=out_tiles, bases=layer.bases, in_tiles=in_tiles, k=k,
+                     o_h=layer.out_h, o_w=win.out_w, in_w=win.in_w, rows_used=rows_used,
+                     k_first=k_first, io_bits_per_cycle=io_bits_per_cycle) for win in windows]
 
 
 @dataclass
@@ -252,40 +255,14 @@ def _build_records(net: NetworkDesc, binary: list[LayerConfig], reads) -> dict[s
     return records
 
 
-def _alive(rec: _Record, i: int) -> bool:
-    return rec.producer <= i <= rec.last_use
-
-
-def _half_bytes(records, i: int) -> tuple[int, int]:
-    tot = [0, 0]
+def _half_bytes(records, n_layers: int) -> list[tuple[int, int]]:
+    """Bytes alive in each half at each layer, from one pass over the
+    records: each adds its bytes over its lifetime as a difference."""
+    delta = [[0] * (n_layers + 1), [0] * (n_layers + 1)]
     for rec in records:
-        if _alive(rec, i):
-            tot[rec.half] += rec.bytes
-    return tot[0], tot[1]
-
-
-def _assign_addresses(records: list[_Record], arch: ArchConfig, n_layers: int) -> None:
-    """Deterministic bump allocation with reuse, in 32-bit words per half."""
-    word_bytes = arch.memory.fmm_bank_width_bits // 8
-    half_base = (0, arch.memory.fmm_src_banks)
-    live: list[list[tuple[int, int, _Record]]] = [[], []]  # (start, end_words) spans
-    for i in range(-1, n_layers):
-        for rec in records:
-            if rec.producer != i:
-                continue
-            words = -(-rec.bytes // word_bytes)
-            spans = sorted((s, e) for s, e, r in live[rec.half] if _alive(r, i) or r.last_use >= i)
-            pos = 0
-            for s, e in spans:
-                if pos + words <= s:
-                    break
-                pos = max(pos, e)
-            rec.base_word = pos
-            bank0 = half_base[rec.half] + pos // arch.memory.fmm_bank_words
-            bank1 = half_base[rec.half] + -(-(pos + words) // arch.memory.fmm_bank_words)
-            rec.banks = (bank0, max(bank1, bank0 + 1))
-            live[rec.half] = [(s, e, r) for s, e, r in live[rec.half] if r.last_use >= i]
-            live[rec.half].append((pos, pos + words, rec))
+        delta[rec.half][max(rec.producer, 0)] += rec.bytes
+        delta[rec.half][rec.last_use + 1] -= rec.bytes
+    return list(zip(accumulate(delta[0][:-1]), accumulate(delta[1][:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +383,7 @@ def _group_feasible(net, arch, binary, reads, records, g0: int, g1: int, n: int)
             halves = list(outer)
             halves[1 - g1 % 2] += core_bytes if group_is_tail else stitched
             for rec, b in tile_slices:
-                if _alive(rec, j):
+                if rec.producer <= j <= rec.last_use:
                     halves[rec.half] += b
             if not _within(halves, caps):
                 return None
@@ -491,9 +468,12 @@ def _search_groups(net, arch, binary, reads, records, fits) -> tuple[dict, list[
 
 
 def _placement(net: NetworkDesc, arch: ArchConfig):
+    """Records, tiled groups, tile windows and fit report; no addresses."""
     arch.check()
     net.validate()
     binary = net.binary_layers()
+    if not binary:
+        raise FitError("network has no binary layers to place")
     for l in binary:
         if l.n_out <= 0 or l.n_in <= 0:
             raise FitError(f"layer {l.name}: zero-size layer")
@@ -501,15 +481,32 @@ def _placement(net: NetworkDesc, arch: ArchConfig):
     reads = _reads(binary)
     records = _build_records(net, binary, reads)
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
-    # taken before the group slices are resized below: a resized slice or an extended
-    # lifetime is alive only inside its group, whose layers' fit comes from their windows
-    halves = [_half_bytes(records.values(), i) for i in range(len(binary))]
-    fits = [_within(h, caps) for h in halves]
-    groups, untileable = _search_groups(net, arch, binary, reads, records, fits)
+    halves = _half_bytes(records.values(), len(binary))
+    fits = [src <= caps[0] and snk <= caps[1] for src, snk in halves]
+    groups, untileable = (_search_groups(net, arch, binary, reads, records, fits)
+                          if not all(fits) else ({}, []))
+    windows = [[full_window(l)] for l in binary]
+    for g0, (g1, tiles) in groups.items():
+        for j in range(g0, g1 + 1):
+            windows[j] = [w[binary[j].name] for w, _ in tiles]
+    fit = _fit_report(arch, binary, halves, fits, windows)
+    return binary, reads, records, groups, windows, fit, untileable
 
-    # size the tile slices, and the output of a group that ends the network
-    # (it streams off chip per tile), at their widest tile; the maps a group
-    # reads from before it stay alive for every tile pass
+
+def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
+    return _placement(net, arch)[5]
+
+
+def _assign_addresses(net: NetworkDesc, arch: ArchConfig, binary, records: dict,
+                      groups: dict) -> None:
+    """Size the tile slices, and the output of a group that ends the network
+    (it streams off chip per tile), at their widest tile, and keep the maps
+    a group reads from before it alive for every tile pass.  (The fit report
+    reads the records from before: a resized slice or an extended lifetime
+    is alive only inside its group, whose layers' fit comes from their
+    windows.)  Then place each map when its producer runs, at the lowest
+    32-bit word of its half clear of every map still to be read (first
+    fit), in one walk that keeps each half's live spans in word order."""
     for g0, (g1, tiles) in groups.items():
         widest: dict[str, int] = {}
         last = binary[g1]
@@ -524,29 +521,33 @@ def _placement(net: NetworkDesc, arch: ArchConfig):
                 rec.bytes = widest[rec.name]
             elif rec.producer < g0 <= rec.last_use:
                 rec.last_use = max(rec.last_use, g1)
-    _assign_addresses(list(records.values()), arch, len(binary))
+    word_bytes = arch.memory.fmm_bank_width_bits // 8
+    bank_words = arch.memory.fmm_bank_words
+    live: list[list[tuple[int, int, int]]] = [[], []]  # (start, end, last use) per half
+    for rec in sorted(records.values(), key=lambda r: r.producer):
+        spans = live[rec.half] = [sp for sp in live[rec.half] if sp[2] >= rec.producer]
+        words = -(-rec.bytes // word_bytes)
+        pos = 0
+        for start, end, _ in spans:
+            if pos + words <= start:
+                break
+            pos = max(pos, end)
+        insort(spans, (pos, pos + words, rec.last_use))
+        rec.base_word = pos
+        base = arch.memory.fmm_src_banks if rec.half else 0
+        bank0 = base + pos // bank_words
+        rec.banks = (bank0, max(base + -(-(pos + words) // bank_words), bank0 + 1))
 
-    windows = [[full_window(l)] for l in binary]
-    for g0, (g1, tiles) in groups.items():
-        for j in range(g0, g1 + 1):
-            windows[j] = [w[binary[j].name] for w, _ in tiles]
-    fit = _fit_report(net, arch, binary, halves, fits, windows)
-    return binary, reads, records, groups, windows, fit, untileable
 
-
-def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
-    _, _, _, _, _, fit, _ = _placement(net, arch)
-    return fit
-
-
-def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, windows) -> FitReport:
+def _fit_report(arch: ArchConfig, binary, halves, fits, windows) -> FitReport:
     """Banks and fit per layer: an untiled layer counts every map alive in
     its source and sink halves, a tiled one its widest window's feed and
     output maps.  Parameters are resident first-fit in layer order; the
     layers whose parameters do not fit stream them."""
-    bank = arch.memory.bank_bytes
-    entries = []
+    bank, total_banks = arch.memory.bank_bytes, arch.memory.fmm_banks_total
+    entries, needs_tiling, unsupported = [], [], []
     pb_left = arch.memory.pb_bytes * 8
+    all_bits = streamed = 0
     for i, (l, wins) in enumerate(zip(binary, windows)):
         src, snk = halves[i][i % 2], halves[i][1 - i % 2]
         overlap = 0
@@ -557,22 +558,23 @@ def _fit_report(net: NetworkDesc, arch: ArchConfig, binary, halves, fits, window
         working = C_O_TILE * l.out_h * l.out_w * 2   # partial-sum tile plane
         banks_used = -(-src // bank) + -(-(snk + working) // bank)
         bits = l.param_bits()
+        all_bits += bits
         streams = bits > pb_left
-        pb_left -= 0 if streams else bits
-        entries.append(FitEntry(
-            layer=l.name, active_banks=min(banks_used, arch.memory.fmm_banks_total),
-            fits=fits[i] or len(wins) > 1, tiles=len(wins), overlap_cols=overlap,
-            streams_params=streams))
-    needs_tiling = [e.layer for e in entries if e.tiles > 1 or not e.fits]
-    return FitReport(
-        entries=entries,
-        fits_untiled=not needs_tiling,
-        needs_tiling=needs_tiling,
-        unsupported_kernels=[l.name for l in binary if not arch.compute.kernel_ok(l.k)],
-        weights_fit_pb=-(-net.param_bits() // 8) <= arch.memory.pb_bytes,
-        streamed_param_bits=sum(l.param_bits() for l, e in zip(binary, entries)
-                                if e.streams_params),
-    )
+        if streams:
+            streamed += bits
+        else:
+            pb_left -= bits
+        fits_i = fits[i] or len(wins) > 1
+        entries.append(FitEntry(l.name, min(banks_used, total_banks), fits_i, len(wins),
+                                overlap, streams))
+        if len(wins) > 1 or not fits_i:
+            needs_tiling.append(l.name)
+        if not arch.compute.kernel_ok(l.k):
+            unsupported.append(l.name)
+    return FitReport(entries=entries, fits_untiled=not needs_tiling, needs_tiling=needs_tiling,
+                     unsupported_kernels=unsupported,
+                     weights_fit_pb=-(-all_bits // 8) <= arch.memory.pb_bytes,
+                     streamed_param_bits=streamed)
 
 
 def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
@@ -583,31 +585,27 @@ def plan_network(net: NetworkDesc, arch: ArchConfig) -> NetworkPlan:
                        f"the feature-map memory even with single-column tiles")
     if fit.unsupported_kernels:
         raise FitError("unsupported kernel sizes on: " + ", ".join(fit.unsupported_kernels))
+    _assign_addresses(net, arch, binary, records, groups)
 
     schedules = []
-    pb_offset = 0
+    pb_offset, io_bits = 0, arch.memory.io_bits_per_cycle
     for i, (l, entry, wins) in enumerate(zip(binary, fit.entries, windows)):
         feed = reads[i][0]
-        chunk_io = arch.memory.io_bits_per_cycle if entry.streams_params else None
-        common = dict(
-            layer=l, index=i, feed=feed,
-            active_banks=entry.active_banks,
-            stream_params=entry.streams_params,
-            parks_int_plane=(l.name + "#int") in records,
-            feed_banks=records[feed].banks, out_banks=records[l.name].banks,
-            pb_word_offset=pb_offset,
-            charge_input_io=(i == 0),
-            charge_output_io=(i == len(binary) - 1),
-        )
+        nests = _layer_nests(l, wins, io_bits if entry.streams_params else None)
+        plans = [LayerPlan(layer=l, index=i, tile=t, window=win, nest=nest, feed=feed,
+                           active_banks=entry.active_banks, stream_params=entry.streams_params,
+                           charge_input_io=i == 0, charge_output_io=i == len(binary) - 1,
+                           parks_int_plane=l.name + "#int" in records,
+                           feed_banks=records[feed].banks, out_banks=records[l.name].banks,
+                           pb_word_offset=pb_offset)
+                 for t, (win, nest) in enumerate(zip(wins, nests))]
         pb_offset += l.param_bits() // 16
-        plans = [LayerPlan(tile=t, window=win, nest=_layer_nest(l, win, chunk_io), **common)
-                 for t, win in enumerate(wins)]
         schedules.append(Schedule(layer=l, plans=plans))
 
-    # execution order: tile-major inside groups, layer order elsewhere
-    start = {j: g0 for g0, (g1, _) in groups.items() for j in range(g0, g1 + 1)}
-    exec_order = sorted((pl for s in schedules for pl in s.plans),
-                        key=lambda pl: (start.get(pl.index, pl.index), pl.tile, pl.index))
+    exec_order = [pl for sched in schedules for pl in sched.plans]
+    if groups:  # tile-major inside groups, layer order elsewhere
+        start = {j: g0 for g0, (g1, _) in groups.items() for j in range(g0, g1 + 1)}
+        exec_order.sort(key=lambda pl: (start.get(pl.index, pl.index), pl.tile, pl.index))
     return NetworkPlan(arch=arch, schedules=schedules, exec_order=exec_order, fit=fit)
 
 

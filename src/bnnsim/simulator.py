@@ -35,7 +35,7 @@ from .functional import layer_forward, run_network_reference
 from .network import NetworkDesc
 from .oracle import run_bipolar_reference
 from .scheduler import INPUT_MAP, PIPE_FILL, LayerPlan, NetworkPlan, plan_network
-from .stats import LayerStats, Stats
+from .stats import LayerStats, Stats, kernel_peak
 from .tensors import LANES, BinaryTensor, IntTensor, n_groups
 
 
@@ -87,13 +87,16 @@ def _tile_stats(plan: LayerPlan) -> LayerStats:
     l, win, nest = plan.layer, plan.window, plan.nest
     k, s = l.k, l.stride
     o_h, o_w, i_w = nest.o_h, nest.o_w, nest.in_w
+    g_out = n_groups(l.n_out)
 
     # Counters of the block nest in closed form; sum(out_tiles) == n_out.
-    blocks = len(nest.out_tiles) * nest.blocks_per_out_tile
-    segments = nest.blocks_per_out_tile * l.n_out * o_h    # row segments
-    chunk_words = nest.blocks_per_out_tile * l.n_out * k * k
+    per_out_tile = nest.blocks_per_out_tile
+    blocks = len(nest.out_tiles) * per_out_tile
+    segments = per_out_tile * l.n_out * o_h    # row segments
+    chunk_words = per_out_tile * l.n_out * k * k
     row_words = blocks * nest.rows_used * i_w
     vy_sum, vx_sum = _valid_taps(l, win)
+    out_words = g_out * l.pooled_h * win.pout_w   # packed result write-back
     st = LayerStats(
         name=l.name, k=k, tile=plan.tile,
         active_banks=plan.active_banks,
@@ -103,9 +106,12 @@ def _tile_stats(plan: LayerPlan) -> LayerStats:
         cycles_load=(nest.visible_load_cycles() + blocks * nest.k_first * i_w
                      + segments * k * k),
         cycles_fill=segments * PIPE_FILL,
+        cycles_pool=g_out * (o_h // 2) * win.pout_w if l.pool == "max" else 0,
+        cycles_other=int(plan.tile == 0),  # source/sink swap
         # achieved ops: full channel/tap work minus edge-idle lanes
         xnor_ops_done=2 * l.n_in * l.n_out * l.bases * vy_sum * vx_sum,
         fmm_reads=row_words,
+        fmm_writes=out_words,
         pb_reads=chunk_words,
         rowbank_reads=segments * (k * k + s * k * o_w),
         rowbank_writes=chunk_words + row_words,
@@ -114,19 +120,10 @@ def _tile_stats(plan: LayerPlan) -> LayerStats:
 
     # residual accumulation at final write-back
     if l.residual is not None:
-        st.fmm_reads += (l.n_out if l.residual_mode == "int" else n_groups(l.n_out)) * o_h * o_w
+        st.fmm_reads += (l.n_out if l.residual_mode == "int" else g_out) * o_h * o_w
         st.nmcu_rmw += l.n_out * o_h * o_w
-    if l.pool == "max":
-        st.cycles_pool += n_groups(l.n_out) * (o_h // 2) * win.pout_w
-
-    # packed result write-back (+ residual parking)
-    out_words = n_groups(l.n_out) * l.pooled_h * win.pout_w
-    st.fmm_writes += out_words
-    if plan.parks_int_plane:
+    if plan.parks_int_plane:  # residual parking
         st.fmm_writes += l.n_out * o_h * o_w
-
-    if plan.tile == 0:
-        st.cycles_other += 1  # source/sink swap
     if plan.stream_params:
         st.io_bits += l.param_bits()
     if plan.charge_input_io:
@@ -240,7 +237,7 @@ def utilization(stats: Stats, arch: ArchConfig) -> UtilizationReport:
             continue
         ops = l.xnor_ops_done
         w_ops += ops
-        acc_k += ops * l.util_kernel_limited
+        acc_k += ops * (ops / (cycles * kernel_peak(l.k)))   # ops * l.util_kernel_limited
         acc_f += ops * (ops / (cycles * full_peak))
     if cycles_total == 0:
         raise FitError("utilization of an empty or zero-cycle run")

@@ -289,3 +289,52 @@ def test_run_with_one_arch_value_ends_in_report_or_typed_error(changes):
         assert rc == 2, (changes, rc)
         errors = err.getvalue().strip().splitlines()
         assert len(errors) == 1 and errors[0].startswith("error:"), (changes, errors)
+
+
+# bases, an input= reroute, int and binary residuals, a pool and a stride
+FUZZ_NET = """network fuzz
+input 16 12 12
+bases 2
+layer l0 k=3 out=16
+layer l1 k=3 out=16 residual=l0:int
+layer l2 k=1 out=32 stride=2
+layer l3 k=3 out=16 input=l1 pool=max
+layer l4 k=3 out=16 residual=l3:binary
+""".splitlines()
+# (line, token) of every token but a line's directive and the names, which
+# the report prints as they are (a layer named nan is no number)
+FUZZ_TOKENS = [(i, j) for i, line in enumerate(FUZZ_NET) for j in range(1, len(line.split()))
+               if line.split()[0] not in ("network", "layer") or j > 1]
+
+
+def _run_ends_in_report_or_typed_error(argv, case):
+    """`main(argv)` exits 0 with only finite numbers in its report, or exits 2
+    with one error line; an exception escaping main fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        numbers = [float(t) for t in re.split(r"[\s=,:()\[\]]+", out.getvalue()) if _is_float(t)]
+        assert numbers and all(math.isfinite(v) for v in numbers), case
+    else:
+        assert rc == 2, (case, rc)
+        errors = err.getvalue().strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:"), (case, errors)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(changes=st.dictionaries(
+    st.sampled_from(FUZZ_TOKENS),
+    st.sampled_from(["0", "-1", "17", "nan", "inf", "1e400", "x", ""]),
+    min_size=1, max_size=2))
+def test_run_with_one_net_value_ends_in_report_or_typed_error(changes):
+    # one or two tokens of a small .net set to extreme or malformed values;
+    # a key=value token keeps its key
+    lines = [line.split() for line in FUZZ_NET]
+    for (i, j), value in changes.items():
+        key, eq, _ = lines[i][j].rpartition("=")
+        lines[i][j] = key + eq + value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.net"
+        path.write_text("\n".join(" ".join(line) for line in lines) + "\n")
+        _run_ends_in_report_or_typed_error(["run", str(path)], changes)

@@ -71,9 +71,11 @@ def check_window_sums(monkeypatch, calls, block, rows, k, stride, padding, n_in,
     """bipolar_conv, on an array and on `PackedWeights`, against window_sums,
     with a weight cap of `block` output channels a kernel row (None: the
     whole layer's weights) and a window buffer of the input rows of `rows`
-    output rows.  Each chunk of output rows copies its row windows once and
-    runs one GEMM per kernel row and block; the weights convert once where
-    they all fit, else once per chunk, block and kernel row."""
+    output rows.  Each chunk of output rows runs one GEMM per kernel row and
+    block.  At stride 1 it copies its row windows once; at stride > 1 each
+    kernel row of each block copies its every-stride rows from the padded
+    map, and nothing else is copied.  The weights convert once where they
+    all fit, else once per chunk, block and kernel row."""
     rng = np.random.default_rng(k * 100 + n_in)
     row = k * n_in
     p = (k - 1) // 2 if padding != "none" else 0
@@ -96,20 +98,21 @@ def check_window_sums(monkeypatch, calls, block, rows, k, stride, padding, n_in,
         calls["gemm"].clear()
         got = bipolar_conv(x, weights, stride=stride, padding=padding)
         assert got.dtype == np.int32 and np.array_equal(got, want)
-        int8 = [shape for dtype, shape in calls["copy"] if dtype == np.int8]
+        assert all(dtype == np.int8 for dtype, _ in calls["copy"])  # from the map or weights
+        int8 = [shape for _, shape in calls["copy"]]
         windows = [s for s in int8 if len(s) == 4 and s[1:] == (ow, k, n_in)]
-        assert len(windows) == chunks  # one row-window copy a chunk
-        heights = [(s[0] - k) // stride + 1 for s in windows]
-        assert sum(heights) == oh and max(heights) <= rows
-        assert all(s[0] == stride * (n - 1) + k for s, n in zip(windows, heights))
+        if stride == 1:  # one row-window copy a chunk
+            assert len(windows) == chunks
+            heights = [s[0] - k + 1 for s in windows]
+        else:  # per chunk, block and kernel row, that kernel row's output rows
+            heights = [s[0] for s in windows[::len(blocks) * k]]
+            assert windows == [(n, ow, k, n_in) for n in heights for _ in blocks for _ in range(k)]
+        assert len(heights) == chunks and sum(heights) == oh and max(heights) <= rows
         converted = [s for s in int8 if s not in windows]
         if block is None:  # converted once
             assert converted == [(k, n_out, k, n_in)]
         else:  # per chunk, block and kernel row
             assert converted == [(c, k, n_in) for _ in heights for c in blocks for _ in range(k)]
-        strided = [shape for dtype, shape in calls["copy"] if dtype == np.float32]
-        assert strided == ([(n, ow * row) for n in heights for _ in blocks for _ in range(k)]
-                           if stride > 1 else [])
         pixels = [n * ow for n in heights for _ in blocks for _ in range(k)]
         columns = [c for _ in heights for c in blocks for _ in range(k)]
         assert calls["gemm"] == [((c, row), (row, px)) if px < c else ((px, row), (row, c))

@@ -277,8 +277,11 @@ def _cheapest_tiles(net, arch):
     n_layers = len(binary)
     cost = {}
     for a in range(n_layers):
-        if scheduler._within(scheduler._half_bytes(records.values(), a),
-                             (arch.memory.half_bytes(0), arch.memory.half_bytes(1))):
+        halves = [0, 0]
+        for r in records.values():
+            if r.producer <= a <= r.last_use:
+                halves[r.half] += r.bytes
+        if scheduler._within(halves, (arch.memory.half_bytes(0), arch.memory.half_bytes(1))):
             cost[a, a] = 0
         for b in range(a, n_layers):
             if any(r.last_use > b for r in records.values() if a <= r.producer < b):
@@ -339,7 +342,8 @@ def _replay_addresses(net, arch) -> None:
     """Walk the execution order over the planned FMM words: every map a
     layer run reads still holds its own words, and every bank exists."""
     plan = plan_network(net, arch)
-    records = scheduler._placement(net, arch)[2]
+    binary, _, records, groups, *_ = scheduler._placement(net, arch)
+    scheduler._assign_addresses(net, arch, binary, records, groups)
     names = {l.name for l in net.binary_layers()}
     word_bytes = arch.memory.fmm_bank_width_bits // 8
     owner = ({}, {})
