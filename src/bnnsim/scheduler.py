@@ -407,6 +407,8 @@ def _search_groups(net, arch, binary, reads, records, fits) -> tuple[dict, list[
     order: [p..g1] at n = 2 queues [p..g1+1] at n = 2, and a failed test
     queues the group again at n + 1, up to single-column stripes.
     Returns ({g0: (g1, tiles)}, untileable layer indices)."""
+    if all(fits):  # every layer passes
+        return {}, []
     n_layers = len(binary)
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
     heap = []   # (cost, -start, end, start, n); n = 0 gives up one layer
@@ -483,8 +485,7 @@ def _placement(net: NetworkDesc, arch: ArchConfig):
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
     halves = _half_bytes(records.values(), len(binary))
     fits = [src <= caps[0] and snk <= caps[1] for src, snk in halves]
-    groups, untileable = (_search_groups(net, arch, binary, reads, records, fits)
-                          if not all(fits) else ({}, []))
+    groups, untileable = _search_groups(net, arch, binary, reads, records, fits)
     windows = [[full_window(l)] for l in binary]
     for g0, (g1, tiles) in groups.items():
         for j in range(g0, g1 + 1):
