@@ -231,10 +231,6 @@ class NetworkDesc:
             "binary_fraction": binary / total if total else 0.0,
         }
 
-    def param_bits(self) -> int:
-        """Weights plus 16-bit thresholds, as stored in the parameter buffer."""
-        return sum(l.param_bits() for l in self.binary_layers())
-
     def copy(self) -> "NetworkDesc":
         return NetworkDesc(
             self.name, self.in_channels, self.in_h, self.in_w,

@@ -328,22 +328,6 @@ def _tile_cores(width: int, n: int) -> list[tuple[int, int]]:
     return cores
 
 
-def _slice_bytes(net, binary, g0: int, g1: int, tile) -> dict[str, int]:
-    """Bytes of the maps that exist only as one tile's column slice while
-    group [g0..g1] runs: in-group maps but the last, their parked int
-    planes, and a leading group's streamed input."""
-    windows, in_range = tile
-    out = {}
-    if g0 == 0:
-        c, h, _ = net.sim_input_dims()
-        out[INPUT_MAP] = map_bytes(c, h, in_range[1] - in_range[0])
-    for l in binary[g0:g1]:
-        win = windows[l.name]
-        out[l.name] = map_bytes(l.n_out, l.pooled_h, win.pout_w)
-        out[l.name + "#int"] = plane_bytes(l.n_out, l.out_h, win.out_w)
-    return out
-
-
 def _within(halves, caps: tuple[int, int]) -> bool:
     return halves[0] <= caps[0] and halves[1] <= caps[1]
 
@@ -359,34 +343,57 @@ def _outer_bytes(records: dict, g0: int) -> list[int]:
     return halves
 
 
+def _group_maps(net, binary, records, g0: int, g1: int, tiles) -> list[tuple]:
+    """(record, bytes, first layer, last layer) of every map alive while
+    tiled group [g0..g1] runs.  In-group maps, their int planes and a
+    leading group's streamed input are column slices at their widest
+    stripe.  The group's output is held from g0 on: at its widest stripe if
+    the group ends the network (it streams off chip stripe by stripe), else
+    whole with its int plane (they stitch across the stripes).  The maps
+    the group reads from before it stay whole until g1."""
+    tail = g1 == len(binary) - 1
+    widest: dict[str, int] = {}
+    for windows, in_range in tiles:
+        slices = {}
+        if g0 == 0:
+            c, h, _ = net.sim_input_dims()
+            slices[INPUT_MAP] = map_bytes(c, h, in_range[1] - in_range[0])
+        for l in binary[g0:g1 + tail]:
+            win = windows[l.name]
+            slices[l.name] = map_bytes(l.n_out, l.pooled_h, win.pout_w)
+            slices[l.name + "#int"] = plane_bytes(l.n_out, l.out_h, win.out_w)
+        for name, b in slices.items():
+            widest[name] = max(widest.get(name, 0), b)
+    maps = []
+    for rec in records.values():
+        born = max(rec.producer, 0)
+        if rec.producer == g1:
+            maps.append((rec, widest.get(rec.name, rec.bytes), g0, rec.last_use))
+        elif rec.name in widest and rec.last_use <= g1:
+            maps.append((rec, widest[rec.name], born, rec.last_use))
+        elif rec.producer < g0 <= rec.last_use:
+            maps.append((rec, rec.bytes, born, max(rec.last_use, g1)))
+    return maps
+
+
 def _group_feasible(net, arch, binary, reads, records, g0: int, g1: int, n: int):
     """Try to tile layers [g0..g1] into n column stripes; return the per-tile
-    (windows, input range) or None.  Only the group's last layer may feed
-    layers after the group; the search picks no other groups."""
-    last = binary[g1]
+    (windows, input range) or None.  The group fits if, at each of its
+    layers, the maps `_group_maps` holds alive fit their halves.  Only the
+    group's last layer may feed layers after the group; the search picks no
+    other groups."""
     caps = (arch.memory.half_bytes(0), arch.memory.half_bytes(1))
-    cores = _tile_cores(last.pooled_w, n)
     cover: dict = {}
     tiles = [_group_windows(binary, reads, g0, g1, core, cover, extend_to_full=t == n - 1)
-             for t, core in enumerate(cores)]
-    slices = [[(records[name], b) for name, b in _slice_bytes(net, binary, g0, g1, tile).items()
-               if name in records] for tile in tiles]
-    outer = _outer_bytes(records, g0)
-    # a group ending the network streams its result off-chip per tile;
-    # otherwise the stitched output accumulates on-chip for the next layer
-    group_is_tail = g1 == len(binary) - 1
-    stitched = 0
-    for (lo, hi), tile_slices in zip(cores, slices):
-        core_bytes = map_bytes(last.n_out, last.pooled_h, hi - lo)
-        stitched += core_bytes
-        for j in range(g0, g1 + 1):
-            halves = list(outer)
-            halves[1 - g1 % 2] += core_bytes if group_is_tail else stitched
-            for rec, b in tile_slices:
-                if rec.producer <= j <= rec.last_use:
-                    halves[rec.half] += b
-            if not _within(halves, caps):
-                return None
+             for t, core in enumerate(_tile_cores(binary[g1].pooled_w, n))]
+    maps = _group_maps(net, binary, records, g0, g1, tiles)
+    for j in range(g0, g1 + 1):
+        halves = [0, 0]
+        for rec, b, first, last in maps:
+            if first <= j <= last:
+                halves[rec.half] += b
+        if not _within(halves, caps):
+            return None
     return tiles
 
 
@@ -441,10 +448,10 @@ def _search_groups(net, arch, binary, reads, records, fits) -> tuple[dict, list[
         group = None
         if n == 2:
             # no n helps a group whose earlier layers feed past its end, or
-            # that cannot hold its whole stitched output by the last tile
+            # that cannot hold its whole stitched output and int plane
             floor = _outer_bytes(records, g0)
             if g1 < n_layers - 1:
-                floor[1 - g1 % 2] += records[binary[g1].name].bytes
+                floor[1 - g1 % 2] += sum(r.bytes for r in records.values() if r.producer == g1)
             if binary[g1].pooled_w < 2 or not _within(floor, caps) or any(
                     r.last_use > g1 for r in records.values() if g0 <= r.producer < g1):
                 continue
@@ -500,33 +507,24 @@ def placement_report(net: NetworkDesc, arch: ArchConfig) -> FitReport:
 
 def _assign_addresses(net: NetworkDesc, arch: ArchConfig, binary, records: dict,
                       groups: dict) -> None:
-    """Size the tile slices, and the output of a group that ends the network
-    (it streams off chip per tile), at their widest tile, and keep the maps
-    a group reads from before it alive for every tile pass.  (The fit report
-    reads the records from before: a resized slice or an extended lifetime
-    is alive only inside its group, whose layers' fit comes from their
-    windows.)  Then place each map when its producer runs, at the lowest
-    32-bit word of its half clear of every map still to be read (first
-    fit), in one walk that keeps each half's live spans in word order."""
+    """Size and time the maps of each tiled group as `_group_maps` does for
+    the fit check.  (The fit report reads the records from before: a slice
+    or an extended lifetime is alive only inside its group, whose layers'
+    fit comes from their windows.)  Then place each map when it first comes
+    alive, a group's stitched output ahead of the maps that appear with the
+    group's first layer, at the lowest 32-bit word of its half clear of
+    every map still to be read (first fit), in one walk that keeps each
+    half's live spans in word order."""
+    first = {name: max(rec.producer, 0) for name, rec in records.items()}
     for g0, (g1, tiles) in groups.items():
-        widest: dict[str, int] = {}
-        last = binary[g1]
-        for tile in tiles:
-            slices = _slice_bytes(net, binary, g0, g1, tile)
-            if g1 == len(binary) - 1:
-                slices[last.name] = map_bytes(last.n_out, last.pooled_h, tile[0][last.name].pout_w)
-            for name, b in slices.items():
-                widest[name] = max(widest.get(name, 0), b)
-        for rec in records.values():
-            if rec.name in widest and rec.last_use <= g1:
-                rec.bytes = widest[rec.name]
-            elif rec.producer < g0 <= rec.last_use:
-                rec.last_use = max(rec.last_use, g1)
+        for rec, b, f, last in _group_maps(net, binary, records, g0, g1, tiles):
+            rec.bytes, rec.last_use = b, last
+            first[rec.name] = min(first[rec.name], f)
     word_bytes = arch.memory.fmm_bank_width_bits // 8
     bank_words = arch.memory.fmm_bank_words
     live: list[list[tuple[int, int, int]]] = [[], []]  # (start, end, last use) per half
-    for rec in sorted(records.values(), key=lambda r: r.producer):
-        spans = live[rec.half] = [sp for sp in live[rec.half] if sp[2] >= rec.producer]
+    for rec in sorted(records.values(), key=lambda r: (first[r.name], -r.producer)):
+        spans = live[rec.half] = [sp for sp in live[rec.half] if sp[2] >= first[rec.name]]
         words = -(-rec.bytes // word_bytes)
         pos = 0
         for start, end, _ in spans:

@@ -28,6 +28,8 @@ import pytest
 from bnnsim import (ArchConfig, MemoryGeometry, default_arch, netio, run, run_bipolar_reference,
                     validate)
 
+from helpers import write_pins
+
 PINS = Path(__file__).parent / "data" / "bundled_pins.json"
 NETS = ("vgg_like_cifar10", "resnet18_ilsvrc", "resnet18_ilsvrc_3x", "resnet18_ilsvrc_8x",
         "alexnet_dorefa_ilsvrc", "sed_freesound")
@@ -80,4 +82,4 @@ def test_bundled_net_output_is_pinned(name):
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps({name: digests(name) for name in NETS}, indent=1) + "\n")
+    write_pins(PINS, {name: digests(name) for name in NETS})

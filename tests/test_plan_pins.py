@@ -12,8 +12,7 @@ and of its `FitReport` is digested, per net and arch:
   net.
 
 A net that fails to plan is pinned by its error type and the digest of
-its `validate` report.  The addresses are pinned as they are, the
-slice-address overflow of some tiled random nets included.
+its `validate` report.
 
 Regenerate the pins only with a change that means to move plans:
 
@@ -30,6 +29,8 @@ import pytest
 
 from bnnsim import ArchConfig, MemoryGeometry, builtin_arch, netio, plan_network, validate
 from bnnsim.errors import BnnSimError
+
+from helpers import write_pins
 
 PINS = Path(__file__).parent / "data" / "plan_pins.json"
 NETS = ("vgg_like_cifar10", "resnet18_ilsvrc", "resnet18_ilsvrc_3x", "resnet18_ilsvrc_8x",
@@ -106,5 +107,5 @@ def test_random_net_plans_are_pinned():
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps({"bundled": {name: bundled_pins(name) for name in NETS},
-                                "stream": stream_pins()}, indent=1) + "\n")
+    write_pins(PINS, {"bundled": {name: bundled_pins(name) for name in NETS},
+                      "stream": stream_pins()})
